@@ -10,7 +10,7 @@ import argparse
 
 from volbounds.lobachevsky import antiprism_volume, twisted_antiprism_volume
 from volbounds.maps import prism, pyramid, two_apex_pyramid
-from volbounds.polyhedra import prism_atkinson_bound, rectification_bounds
+from volbounds.polyhedra import prism_atkinson_expr, rectification_bounds
 
 
 def best_rows(skeleton):
@@ -37,7 +37,7 @@ def main():
     print("prisms: Atkinson prism bound vs the all-trivalent refinement")
     print(f"{'n':>3} {'prism bound':>12} {'refinement':>11}  winner")
     for n in range(3, args.max_n + 1):
-        atkinson = prism_atkinson_bound(n)
+        atkinson = prism_atkinson_expr(n).value
         rows = rectification_bounds(prism(n))
         refined = next(r.value for r in rows if r.name == "triangle-trivalent")
         winner = "refinement" if refined < atkinson else "prism bound"

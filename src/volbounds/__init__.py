@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`volbounds.lobachevsky` -- the Lobachevsky function, exact family
-  volumes (bipyramids, antiprisms), and exact constant combinations.
+  volumes (bipyramids, antiprisms), exact constant combinations, and the
+  :class:`Bound` row shared by the polyhedron and link reports.
 * :mod:`volbounds.maps` -- dart-based combinatorial maps: validation,
   censuses, medial/dual, family builders, isomorphism.
 * :mod:`volbounds.polyhedra` -- volume bounds for generalized hyperbolic
@@ -19,6 +20,7 @@ Library layout:
 from .lobachevsky import (
     V_OCT,
     V_TET,
+    Bound,
     VolumeExpr,
     antiprism_volume,
     bipyramid_log_bound,
@@ -49,7 +51,7 @@ from .maps import (
     twisted_antiprism,
     validate_map,
 )
-from .polyhedra import PolyhedronBound, rectification_bounds
+from .polyhedra import rectification_bounds
 from .twists import (
     TwistDecomposition,
     TwistReducedDiagram,
@@ -58,7 +60,7 @@ from .twists import (
     twist_stats,
     two_bridge_diagram,
 )
-from .augmented import AugmentedPolyhedron, augment, white_face_census
-from .links import HypothesisFlags, LinkBound, link_report
+from .augmented import AugmentedPolyhedron, augment
+from .links import HypothesisFlags, link_report
 
 __version__ = "0.1.0"

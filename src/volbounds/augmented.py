@@ -28,7 +28,6 @@ __all__ = [
     "AugmentedPolyhedron",
     "AugmentError",
     "augment",
-    "white_face_census",
     "white_census_by_corner_count",
     "augmented_to_dict",
     "save_augmented",
@@ -47,7 +46,7 @@ class AugmentedPolyhedron:
     red_vertices: frozenset[int]
     black_vertices: frozenset[int]
     dark_faces: frozenset[int]
-    white_census: dict[int, int]
+    white_census: dict[int, int]  # white n-gon counts f_n; sizes sum to 6t
 
     @property
     def t(self) -> int:
@@ -57,7 +56,7 @@ class AugmentedPolyhedron:
 def _axis_corners(cycle: tuple[int, ...], axis: int) -> list[tuple[int, int]]:
     """The two opposite corners (a, sigma(a)) selected by the axis bit.
 
-    ``cycle`` is the vertex's sigma-cycle anchored at its minimal dart.
+    ``cycle`` is the vertex's sigma-cycle as :func:`vertex_orbits` lists it.
     """
     e = list(cycle)
     return [(e[axis], e[axis + 1]), (e[axis + 2], e[(axis + 3) % 4])]
@@ -80,15 +79,7 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         raise AugmentError("augmentation needs at least two twists")
     n_darts = dm.dart_count
 
-    verts = vertex_orbits(dm)  # canonical order, matches d.axis / d.lengths
-    # anchor each sigma-cycle at its minimal dart
-    cycles = []
-    for orbit in verts:
-        start = min(orbit)
-        cyc = [start]
-        while len(cyc) < len(orbit):
-            cyc.append(dm.sigma[cyc[-1]])
-        cycles.append(tuple(cyc))
+    cycles = vertex_orbits(dm)  # canonical order, matches d.axis / d.lengths
 
     # partner(dart) = other dart of its axis corner; first[dart] marks the
     # corner's first element (the one whose sigma-image is the partner)
@@ -200,11 +191,6 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         dark_faces=frozenset(dark),
         white_census=dict(white),
     )
-
-
-def white_face_census(p: AugmentedPolyhedron) -> dict[int, int]:
-    """White n-gon counts f_n of P (sizes sum to 6t)."""
-    return dict(p.white_census)
 
 
 def white_census_by_corner_count(d: TwistReducedDiagram) -> dict[int, int]:

@@ -4,14 +4,18 @@ Subcommands mirror the library: ``lob``, ``constants``, ``poly family``,
 ``poly graph``, ``poly medial``, ``poly dual``, ``link two-bridge``,
 ``link twists``, ``link augment``.  Reports render as a fixed-width table or
 a JSON document (``--format json``); numeric output is fixed at six decimals
-(round-half-even).  Exit codes: 0 success, 2 invalid input, 3 when a bound
-requested with ``--bound`` is not applicable under the given hypotheses.
+(round-half-even).  Exit codes: 0 success, 1 when stdout is closed before
+the output is written (e.g. piped into ``head``), 2 invalid input, 3 when a
+bound requested with ``--bound`` is not applicable under the given
+hypotheses.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 from . import augmented, links, maps, polyhedra
@@ -19,7 +23,9 @@ from .lobachevsky import (
     V_OCT,
     V_TET,
     antiprism_volume,
+    bound_row,
     lobachevsky,
+    mark_best,
     twisted_antiprism_volume,
 )
 from .twists import (
@@ -41,6 +47,29 @@ _FAMILIES = {
     "antiprism": (maps.antiprism, True),
     "two-apex-pyramid": (maps.two_apex_pyramid, True),
     "twisted-antiprism": (maps.twisted_antiprism, True),
+}
+
+# upper-bound row added to a family member's report:
+# (name, hypotheses, citation, value of member n)
+_FAMILY_BOUNDS = {
+    "prism": (
+        "prism-atkinson",
+        ("prism",),
+        "Atkinson 2011 prism bound",
+        lambda n: polyhedra.prism_atkinson_expr(n).value,
+    ),
+    "pyramid": (
+        "antiprism-volume",
+        ("exact rectification volume",),
+        "Thurston antiprism volume (exact sup)",
+        antiprism_volume,
+    ),
+    "two-apex-pyramid": (
+        "twisted-antiprism-volume",
+        ("exact rectification volume",),
+        "twisted antiprism volume (exact sup)",
+        twisted_antiprism_volume,
+    ),
 }
 
 
@@ -101,8 +130,13 @@ def _render(doc: dict, fmt: str, out=None) -> None:
             out.write(f"{key}: {value}\n")
 
 
-def _select_bound(doc: dict, name: str) -> int:
-    rows = [r for r in doc.get("bounds", []) if r["name"] == name]
+def _report(doc: dict, args) -> int:
+    """Render a bound report, or with ``--bound`` print just that row's value."""
+    name = args.bound
+    if not name:
+        _render(doc, args.format)
+        return 0
+    rows = [r for r in doc["bounds"] if r["name"] == name]
     if not rows:
         print(f"error: unknown bound name {name!r}", file=sys.stderr)
         return 2
@@ -129,36 +163,10 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
     census = maps.validate_map(m)
     doc: dict = {"input": description, "census": _census_block(census)}
     bounds = polyhedra.rectification_bounds(m)
-    if family == "prism":
-        extra = polyhedra.PolyhedronBound(
-            name="prism-atkinson",
-            kind="upper",
-            value=polyhedra.prism_atkinson_bound(n),
-            applicable=True,
-            hypotheses=("prism",),
-            citation="Atkinson 2011 prism bound",
-        )
-        bounds = bounds + [extra]
-    if family == "pyramid":
-        extra = polyhedra.PolyhedronBound(
-            name="antiprism-volume",
-            kind="upper",
-            value=antiprism_volume(n),
-            applicable=True,
-            hypotheses=("exact rectification volume",),
-            citation="Thurston antiprism volume (exact sup)",
-        )
-        bounds = bounds + [extra]
-    if family == "two-apex-pyramid":
-        extra = polyhedra.PolyhedronBound(
-            name="twisted-antiprism-volume",
-            kind="upper",
-            value=twisted_antiprism_volume(n),
-            applicable=True,
-            hypotheses=("exact rectification volume",),
-            citation="twisted antiprism volume (exact sup)",
-        )
-        bounds = bounds + [extra]
+    if family in _FAMILY_BOUNDS:
+        name, hypotheses, citation, volume = _FAMILY_BOUNDS[family]
+        extra = bound_row(name, "upper", hypotheses, citation, lambda: volume(n))
+        bounds = mark_best(bounds + [extra])
     doc["bounds"] = _bound_rows(bounds)
     doc["warnings"] = []
     return doc
@@ -181,19 +189,13 @@ def _cmd_poly_family(args) -> int:
         _render({"input": desc, "census": _census_block(census)}, args.format)
         return 0
     doc = _poly_doc(m, desc, family=args.name, n=args.n)
-    if args.bound:
-        return _select_bound(doc, args.bound)
-    _render(doc, args.format)
-    return 0
+    return _report(doc, args)
 
 
 def _cmd_poly_graph(args) -> int:
     m = maps.load_map(args.file)
     doc = _poly_doc(m, f"map file {args.file}")
-    if args.bound:
-        return _select_bound(doc, args.bound)
-    _render(doc, args.format)
-    return 0
+    return _report(doc, args)
 
 
 def _cmd_poly_medial(args) -> int:
@@ -242,13 +244,7 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
             "t": s.t,
             "c": s.c,
         },
-        "flags": {
-            "reduced": flags.reduced,
-            "alternating": flags.alternating,
-            "two_bridge": flags.two_bridge,
-            "not_figure_eight": flags.not_figure_eight,
-            "not_borromean": flags.not_borromean,
-        },
+        "flags": dataclasses.asdict(flags),
     }
     if white_census is not None:
         doc["white_census"] = {str(k): v for k, v in sorted(white_census.items())}
@@ -293,10 +289,7 @@ def _cmd_link_two_bridge(args) -> int:
         description=f"two-bridge b({p}/{q}), continued fraction {digits}",
         warnings=warnings,
     )
-    if args.bound:
-        return _select_bound(doc, args.bound)
-    _render(doc, args.format)
-    return 0
+    return _report(doc, args)
 
 
 def _cmd_link_twists(args) -> int:
@@ -308,10 +301,7 @@ def _cmd_link_twists(args) -> int:
         jones=_parse_jones(args.jones),
         description=f"twist decomposition {list(lengths)}",
     )
-    if args.bound:
-        return _select_bound(doc, args.bound)
-    _render(doc, args.format)
-    return 0
+    return _report(doc, args)
 
 
 def _cmd_link_augment(args) -> int:
@@ -334,7 +324,7 @@ def _cmd_link_augment(args) -> int:
         "red_vertices": sorted(poly.red_vertices),
         "dark_faces": sorted(poly.dark_faces),
         "white_census": {str(k): v for k, v in sorted(poly.white_census.items())},
-        "white_face_bound": _fmt(links.white_face_bound(poly.t, poly.white_census)),
+        "white_face_bound": _fmt(links.white_face_expr(poly.t, poly.white_census).value),
     }
     _render(doc, args.format)
     return 0
@@ -417,13 +407,31 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        return _stdout_closed()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def _stdout_closed() -> int:
+    """Exit code for a reader that closed stdout early.
+
+    stdout is pointed at the null device so that flushing it again at exit
+    stays silent (the recipe of the Python ``signal`` docs).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    return 1
+
+
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,60 +12,33 @@ constants and converted to floats late (see :class:`VolumeExpr`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .lobachevsky import VolumeExpr
+from .lobachevsky import Bound, NotApplicable, VolumeExpr, bound_row, mark_best
 from .twists import TwistDecomposition, TwistStats, twist_stats
 
 __all__ = [
-    "LinkBound",
     "HypothesisFlags",
     "NotApplicable",
     "CensusMismatchError",
-    "adams_crossing_bound",
     "adams_crossing_expr",
-    "adams_octahedral_bound",
     "adams_octahedral_expr",
-    "agol_thurston_bound",
     "agol_thurston_expr",
-    "dasbach_tsvietkova_bound",
     "dasbach_tsvietkova_expr",
-    "adams_twist_bound",
     "adams_twist_expr",
-    "large_twist_bound",
     "large_twist_expr",
-    "large_twist_refined_bound",
     "large_twist_refined_expr",
-    "fkp_lower_bound",
     "fkp_lower_expr",
-    "two_bridge_bounds",
     "two_bridge_bounds_expr",
-    "jones_bounds",
     "jones_bounds_expr",
-    "white_face_bound",
     "white_face_expr",
     "link_report",
 ]
 
 
-class NotApplicable(Exception):
-    """A bound's hypotheses are not met for the given input."""
-
-
 class CensusMismatchError(ValueError):
     """White-face census violates the handshake sum n*f_n = 6t."""
-
-
-@dataclass(frozen=True)
-class LinkBound:
-    name: str
-    kind: str  # "upper" | "lower"
-    value: float | None
-    applicable: bool
-    hypotheses: tuple[str, ...]
-    citation: str
-    best: bool = False
 
 
 @dataclass(frozen=True)
@@ -80,42 +53,32 @@ class HypothesisFlags:
 
 
 def adams_crossing_expr(c: int, is_figure_eight: bool = False) -> VolumeExpr:
+    """Crossing-number bound v_tet (4c - 16) for hyperbolic knots other than
+    the figure-eight."""
     if c < 3:
-        raise ValueError("adams_crossing_bound: need crossing number >= 3")
+        raise ValueError("adams_crossing_expr: need crossing number >= 3")
     if is_figure_eight:
         raise NotApplicable("crossing bound excludes the figure-eight knot")
     return VolumeExpr.v_tet(4 * c - 16)
 
 
-def adams_crossing_bound(c: int, is_figure_eight: bool = False) -> float:
-    """Crossing-number bound v_tet (4c - 16) for hyperbolic knots other than
-    the figure-eight."""
-    return adams_crossing_expr(c, is_figure_eight).value
-
-
 def adams_octahedral_expr(c: int) -> VolumeExpr:
+    """Octahedral crossing bound v_oct (c - 5) + 4 v_tet for c >= 5."""
     if c < 5:
-        raise ValueError("adams_octahedral_bound: need crossing number >= 5")
+        raise ValueError("adams_octahedral_expr: need crossing number >= 5")
     return VolumeExpr.v_oct(c - 5) + VolumeExpr.v_tet(4)
 
 
-def adams_octahedral_bound(c: int) -> float:
-    """Octahedral crossing bound v_oct (c - 5) + 4 v_tet for c >= 5."""
-    return adams_octahedral_expr(c).value
-
-
 def agol_thurston_expr(t: int) -> VolumeExpr:
+    """Twist-number bound 10 v_tet (t - 1), asymptotically sharp."""
     if t < 1:
-        raise ValueError("agol_thurston_bound: need at least one twist")
+        raise ValueError("agol_thurston_expr: need at least one twist")
     return VolumeExpr.v_tet(10 * (t - 1))
 
 
-def agol_thurston_bound(t: int) -> float:
-    """Twist-number bound 10 v_tet (t - 1), asymptotically sharp."""
-    return agol_thurston_expr(t).value
-
-
 def dasbach_tsvietkova_expr(s: TwistStats) -> VolumeExpr:
+    """Twist-length refinement v_tet (4 t1 + 6 t2 + 8 t3 + 10 g4 - a) of the
+    twist-number bound, valid for reduced diagrams (alternating or not)."""
     t1, t2, t3 = s.exactly(1), s.exactly(2), s.exactly(3)
     g4 = s.at_least(4)
     if g4:
@@ -125,12 +88,6 @@ def dasbach_tsvietkova_expr(s: TwistStats) -> VolumeExpr:
     else:
         a = 6
     return VolumeExpr.v_tet(4 * t1 + 6 * t2 + 8 * t3 + 10 * g4 - a)
-
-
-def dasbach_tsvietkova_bound(s: TwistStats) -> float:
-    """Twist-length refinement v_tet (4 t1 + 6 t2 + 8 t3 + 10 g4 - a) of the
-    twist-number bound, valid for reduced diagrams (alternating or not)."""
-    return dasbach_tsvietkova_expr(s).value
 
 
 # exact forms of the subtraction constant in the Adams twist-length bound
@@ -171,24 +128,12 @@ def adams_a_case(s: TwistStats) -> tuple[str, VolumeExpr]:
     raise AssertionError("a-case analysis not exhaustive")  # unreachable for t >= 1
 
 
-def adams_twist_expr(s: TwistStats) -> VolumeExpr:
-    _, a = adams_a_case(s)
-    return (
-        VolumeExpr.v_oct(s.exactly(1))
-        + VolumeExpr.v_tet(6 * s.exactly(2))
-        + VolumeExpr.lob(8, 16 * s.exactly(3))
-        + VolumeExpr.lob(10, 20 * s.exactly(4))
-        + VolumeExpr.v_tet(10 * s.at_least(5))
-        - a
-    )
-
-
-def adams_twist_bound(
+def adams_twist_expr(
     s: TwistStats,
     *,
     reduced_alternating: bool = True,
     is_borromean: bool = False,
-) -> float:
+) -> VolumeExpr:
     """Adams' per-length twist bound t1 v_oct + 6 t2 v_tet + 16 t3 L(pi/8)
     + 20 t4 L(pi/10) + 10 g5 v_tet - a.
 
@@ -203,40 +148,38 @@ def adams_twist_bound(
         raise NotApplicable("twist-length bound needs at least 3 twists")
     if s.c < 5:
         raise NotApplicable("twist-length bound needs at least 5 crossings")
-    return adams_twist_expr(s).value
+    _, a = adams_a_case(s)
+    return (
+        VolumeExpr.v_oct(s.exactly(1))
+        + VolumeExpr.v_tet(6 * s.exactly(2))
+        + VolumeExpr.lob(8, 16 * s.exactly(3))
+        + VolumeExpr.lob(10, 20 * s.exactly(4))
+        + VolumeExpr.v_tet(10 * s.at_least(5))
+        - a
+    )
 
 
 def large_twist_expr(t: int) -> VolumeExpr:
+    """Improved twist-number bound 10 v_tet (t - 1.4) for diagrams with more
+    than eight twists."""
     if t <= 8:
         raise NotApplicable("large-twist bound needs t > 8")
     return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(14, 10)))
 
 
-def large_twist_bound(t: int) -> float:
-    """Improved twist-number bound 10 v_tet (t - 1.4) for diagrams with more
-    than eight twists."""
-    return large_twist_expr(t).value
-
-
 def large_twist_refined_expr(t: int, delta: int) -> VolumeExpr:
+    """Refinement 10 v_tet (t - 1.3 - delta/10) when the augmented polyhedron
+    has delta + 2t triangles."""
     if t <= 8:
         raise NotApplicable("refined large-twist bound needs t > 8")
     if delta < 0:
-        raise ValueError("large_twist_refined_bound: delta must be nonnegative")
+        raise ValueError("large_twist_refined_expr: delta must be nonnegative")
     return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(13, 10) - Fraction(delta, 10)))
 
 
-def large_twist_refined_bound(t: int, delta: int) -> float:
-    """Refinement 10 v_tet (t - 1.3 - delta/10) when the augmented polyhedron
-    has delta + 2t triangles."""
-    return large_twist_refined_expr(t, delta).value
-
-
-def fkp_lower_expr(t: int) -> VolumeExpr:
-    return VolumeExpr.constant(Fraction(70735, 100000) * (t - 1))
-
-
-def fkp_lower_bound(t: int, min_twist_length: int, *, reduced_alternating: bool = True) -> float:
+def fkp_lower_expr(
+    t: int, min_twist_length: int, *, reduced_alternating: bool = True
+) -> VolumeExpr:
     """Lower bound 0.70735 (t - 1) for reduced alternating diagrams with
     t >= 2 twists, every twist of length at least 7."""
     if not reduced_alternating:
@@ -245,42 +188,34 @@ def fkp_lower_bound(t: int, min_twist_length: int, *, reduced_alternating: bool 
         raise NotApplicable("lower bound needs at least 2 twists")
     if min_twist_length < 7:
         raise NotApplicable("lower bound needs all twists of length >= 7")
-    return fkp_lower_expr(t).value
+    return VolumeExpr.constant(Fraction(70735, 100000) * (t - 1))
 
 
 def two_bridge_bounds_expr(t: int) -> tuple[VolumeExpr, VolumeExpr]:
+    """Two-sided bounds (lower, upper): 2 v_tet t - 2.7066 <= vol <=
+    2 v_oct (t - 1) for two-bridge links with reduced alternating diagrams."""
     if t < 2:
-        raise ValueError("two_bridge_bounds: need at least 2 twists")
+        raise ValueError("two_bridge_bounds_expr: need at least 2 twists")
     lower = VolumeExpr.v_tet(2 * t) - VolumeExpr.constant(Fraction(27066, 10000))
     upper = VolumeExpr.v_oct(2 * (t - 1))
     return lower, upper
 
 
-def two_bridge_bounds(t: int) -> tuple[float, float]:
-    """Two-sided bounds 2 v_tet t - 2.7066 <= vol <= 2 v_oct (t - 1) for
-    two-bridge links with reduced alternating diagrams."""
-    lo, hi = two_bridge_bounds_expr(t)
-    return lo.value, hi.value
-
-
 def jones_bounds_expr(abs_a2: int, abs_penultimate: int) -> tuple[VolumeExpr, VolumeExpr]:
+    """Jones-coefficient bounds (lower, upper) for prime alternating non-torus
+    knots: v_oct max(|a_{m-1}|, |a_{n+1}|-1) <= vol <= 10 v_tet (|a_{n+1}| + |a_{m-1}| - 1)."""
     if abs_a2 < 0 or abs_penultimate < 0:
-        raise ValueError("jones_bounds: coefficient magnitudes must be nonnegative")
+        raise ValueError("jones_bounds_expr: coefficient magnitudes must be nonnegative")
     lower = VolumeExpr.v_oct(max(abs_penultimate, abs_a2 - 1))
     upper = VolumeExpr.v_tet(10 * (abs_a2 + abs_penultimate - 1))
     return lower, upper
 
 
-def jones_bounds(abs_a2: int, abs_penultimate: int) -> tuple[float, float]:
-    """Jones-coefficient bounds for prime alternating non-torus knots:
-    v_oct max(|a_{m-1}|, |a_{n+1}|-1) <= vol <= 10 v_tet (|a_{n+1}| + |a_{m-1}| - 1)."""
-    lo, hi = jones_bounds_expr(abs_a2, abs_penultimate)
-    return lo.value, hi.value
-
-
 def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
+    """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
+    augmented-polyhedron bound; rejects censuses violating sum n f_n = 6t."""
     if t < 2:
-        raise ValueError("white_face_bound: need at least 2 twists")
+        raise ValueError("white_face_expr: need at least 2 twists")
     handshake = sum(n * f for n, f in white_census.items())
     if handshake != 6 * t:
         raise CensusMismatchError(
@@ -290,12 +225,6 @@ def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     for n, f in sorted(white_census.items()):
         total = total + VolumeExpr.lob(n, 2 * n * f)
     return total
-
-
-def white_face_bound(t: int, white_census: dict[int, int]) -> float:
-    """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
-    augmented-polyhedron bound; rejects censuses violating sum n f_n = 6t."""
-    return white_face_expr(t, white_census).value
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +237,7 @@ def link_report(
     flags: HypothesisFlags = HypothesisFlags(),
     white_census: dict[int, int] | None = None,
     jones_coefficients: tuple[int, int] | None = None,
-) -> list[LinkBound]:
+) -> list[Bound]:
     """Evaluate every bound with truthful applicability gating.
 
     Returns the catalog in fixed order with the minimum applicable upper and
@@ -316,146 +245,118 @@ def link_report(
     never exceeds min upper.
     """
     s = twist_stats(d)
-    rows: list[LinkBound] = []
-
-    def add(name, kind, hypotheses, citation, compute, applicable=True):
-        value = None
-        ok = applicable
-        if ok:
-            try:
-                value = compute()
-            except NotApplicable:
-                ok = False
-        rows.append(
-            LinkBound(
-                name=name,
-                kind=kind,
-                value=value,
-                applicable=ok,
-                hypotheses=hypotheses,
-                citation=citation,
-            )
-        )
-
-    add(
-        "adams-crossing",
-        "upper",
-        ("hyperbolic", "not the figure-eight knot"),
-        "Adams 1983 crossing-number bound",
-        lambda: adams_crossing_bound(s.c),
-        applicable=flags.not_figure_eight and s.c >= 3,
-    )
-    add(
-        "adams-octahedral",
-        "upper",
-        ("hyperbolic", "c >= 5"),
-        "Adams 2013 octahedral bound (value computed from the exact form)",
-        lambda: adams_octahedral_bound(s.c),
-        applicable=s.c >= 5,
-    )
-    add(
-        "agol-thurston",
-        "upper",
-        ("hyperbolic",),
-        "Agol-Thurston appendix to Lackenby 2004",
-        lambda: agol_thurston_bound(s.t),
-    )
-    add(
-        "dasbach-tsvietkova",
-        "upper",
-        ("hyperbolic", "reduced diagram (alternating or not)"),
-        "Dasbach-Tsvietkova 2015/2019",
-        lambda: dasbach_tsvietkova_bound(s),
-    )
-    add(
-        "adams-twist",
-        "upper",
-        ("hyperbolic", "reduced alternating", "c >= 5", "t >= 3", "not the Borromean rings"),
-        "Adams 2017 twist-length bound",
-        lambda: adams_twist_bound(
-            s,
-            reduced_alternating=flags.reduced and flags.alternating,
-            is_borromean=not flags.not_borromean,
-        ),
-    )
-    add(
-        "large-twist",
-        "upper",
-        ("hyperbolic", "t > 8"),
-        "augmented-link decomposition bound for t > 8",
-        lambda: large_twist_bound(s.t),
-        applicable=s.t > 8,
-    )
+    reduced_alternating = flags.reduced and flags.alternating
     delta = white_census.get(3, 0) if white_census else None
-    add(
-        "large-twist-refined",
-        "upper",
-        ("hyperbolic", "t > 8", "white census known"),
-        "augmented-link bound refined by the white triangles",
-        lambda: large_twist_refined_bound(s.t, delta),
-        applicable=s.t > 8 and delta is not None,
-    )
-    add(
-        "white-face",
-        "upper",
-        ("hyperbolic", "white census known"),
-        "white-face-census refinement of the augmented-link decomposition",
-        lambda: white_face_bound(s.t, white_census),
-        applicable=white_census is not None and s.t >= 2,
-    )
-    add(
-        "fkp-lower",
-        "lower",
-        ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
-        "Futer-Kalfagianni-Purcell lower bound",
-        lambda: fkp_lower_bound(
-            s.t, s.min_length, reduced_alternating=flags.reduced and flags.alternating
+    tb_ok = flags.two_bridge and reduced_alternating and s.t >= 2
+    rows = [
+        bound_row(
+            "adams-crossing",
+            "upper",
+            ("hyperbolic", "not the figure-eight knot"),
+            "Adams 1983 crossing-number bound",
+            lambda: adams_crossing_expr(s.c).value,
+            applicable=flags.not_figure_eight and s.c >= 3,
         ),
-    )
-    tb_ok = flags.two_bridge and flags.reduced and flags.alternating and s.t >= 2
-    add(
-        "two-bridge-lower",
-        "lower",
-        ("hyperbolic", "two-bridge", "reduced alternating"),
-        "Gueritaud-Futer two-bridge bounds",
-        lambda: two_bridge_bounds(s.t)[0],
-        applicable=tb_ok,
-    )
-    add(
-        "two-bridge-upper",
-        "upper",
-        ("hyperbolic", "two-bridge", "reduced alternating"),
-        "Gueritaud-Futer two-bridge bounds",
-        lambda: two_bridge_bounds(s.t)[1],
-        applicable=tb_ok,
-    )
+        bound_row(
+            "adams-octahedral",
+            "upper",
+            ("hyperbolic", "c >= 5"),
+            "Adams 2013 octahedral bound (value computed from the exact form)",
+            lambda: adams_octahedral_expr(s.c).value,
+            applicable=s.c >= 5,
+        ),
+        bound_row(
+            "agol-thurston",
+            "upper",
+            ("hyperbolic",),
+            "Agol-Thurston appendix to Lackenby 2004",
+            lambda: agol_thurston_expr(s.t).value,
+        ),
+        bound_row(
+            "dasbach-tsvietkova",
+            "upper",
+            ("hyperbolic", "reduced diagram (alternating or not)"),
+            "Dasbach-Tsvietkova 2015/2019",
+            lambda: dasbach_tsvietkova_expr(s).value,
+        ),
+        bound_row(
+            "adams-twist",
+            "upper",
+            ("hyperbolic", "reduced alternating", "c >= 5", "t >= 3", "not the Borromean rings"),
+            "Adams 2017 twist-length bound",
+            lambda: adams_twist_expr(
+                s,
+                reduced_alternating=reduced_alternating,
+                is_borromean=not flags.not_borromean,
+            ).value,
+        ),
+        bound_row(
+            "large-twist",
+            "upper",
+            ("hyperbolic", "t > 8"),
+            "augmented-link decomposition bound for t > 8",
+            lambda: large_twist_expr(s.t).value,
+            applicable=s.t > 8,
+        ),
+        bound_row(
+            "large-twist-refined",
+            "upper",
+            ("hyperbolic", "t > 8", "white census known"),
+            "augmented-link bound refined by the white triangles",
+            lambda: large_twist_refined_expr(s.t, delta).value,
+            applicable=s.t > 8 and delta is not None,
+        ),
+        bound_row(
+            "white-face",
+            "upper",
+            ("hyperbolic", "white census known"),
+            "white-face-census refinement of the augmented-link decomposition",
+            lambda: white_face_expr(s.t, white_census).value,
+            applicable=white_census is not None and s.t >= 2,
+        ),
+        bound_row(
+            "fkp-lower",
+            "lower",
+            ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
+            "Futer-Kalfagianni-Purcell lower bound",
+            lambda: fkp_lower_expr(
+                s.t, s.min_length, reduced_alternating=reduced_alternating
+            ).value,
+        ),
+        bound_row(
+            "two-bridge-lower",
+            "lower",
+            ("hyperbolic", "two-bridge", "reduced alternating"),
+            "Gueritaud-Futer two-bridge bounds",
+            lambda: two_bridge_bounds_expr(s.t)[0].value,
+            applicable=tb_ok,
+        ),
+        bound_row(
+            "two-bridge-upper",
+            "upper",
+            ("hyperbolic", "two-bridge", "reduced alternating"),
+            "Gueritaud-Futer two-bridge bounds",
+            lambda: two_bridge_bounds_expr(s.t)[1].value,
+            applicable=tb_ok,
+        ),
+    ]
     if jones_coefficients is not None:
         a2, penult = jones_coefficients
-        degenerate = a2 + penult - 1 <= 0
-        add(
-            "jones-lower",
-            "lower",
-            ("hyperbolic", "prime alternating non-torus knot"),
-            "Dasbach-Lin Jones-coefficient bounds",
-            lambda: jones_bounds(a2, penult)[0],
-        )
-        add(
-            "jones-upper",
-            "upper",
-            ("hyperbolic", "prime alternating non-torus knot"),
-            "Dasbach-Lin Jones-coefficient bounds",
-            lambda: jones_bounds(a2, penult)[1],
-            applicable=not degenerate,
-        )
-
-    best_upper = min((r.value for r in rows if r.applicable and r.kind == "upper"), default=None)
-    best_lower = max((r.value for r in rows if r.applicable and r.kind == "lower"), default=None)
-    marked = []
-    for r in rows:
-        if r.applicable and r.kind == "upper" and r.value == best_upper:
-            marked.append(replace(r, best=True))
-        elif r.applicable and r.kind == "lower" and r.value == best_lower:
-            marked.append(replace(r, best=True))
-        else:
-            marked.append(r)
-    return marked
+        rows += [
+            bound_row(
+                "jones-lower",
+                "lower",
+                ("hyperbolic", "prime alternating non-torus knot"),
+                "Dasbach-Lin Jones-coefficient bounds",
+                lambda: jones_bounds_expr(a2, penult)[0].value,
+            ),
+            bound_row(
+                "jones-upper",
+                "upper",
+                ("hyperbolic", "prime alternating non-torus knot"),
+                "Dasbach-Lin Jones-coefficient bounds",
+                lambda: jones_bounds_expr(a2, penult)[1].value,
+                applicable=a2 + penult - 1 > 0,
+            ),
+        ]
+    return mark_best(rows)

@@ -9,12 +9,15 @@ v_oct = 8*L(pi/4), values L(pi/n), and pi*log(n/2).  This module provides
 * the closed-form volumes of ideal tetrahedra slices, regular bipyramids,
   antiprisms and twisted antiprisms, and
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
-  that is only converted to floating point at the boundary.
+  that is only converted to floating point at the boundary, and
+* :class:`Bound`, the report row that the polyhedron and link reports share,
+  with its constructor :func:`bound_row` and :func:`mark_best`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from scipy.integrate import quad
@@ -32,6 +35,10 @@ __all__ = [
     "antiprism_volume",
     "twisted_antiprism_volume",
     "VolumeExpr",
+    "NotApplicable",
+    "Bound",
+    "bound_row",
+    "mark_best",
 ]
 
 
@@ -288,3 +295,58 @@ class VolumeExpr:
 
         parts = [f"{c}*{label(k)}" for k, c in sorted(self._terms.items(), key=lambda kv: str(kv[0]))]
         return "VolumeExpr(" + " + ".join(parts) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Report rows
+# ---------------------------------------------------------------------------
+
+
+class NotApplicable(Exception):
+    """A bound's hypotheses are not met for the given input."""
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One named bound value with its applicability metadata."""
+
+    name: str
+    kind: str  # "upper" | "lower"
+    value: float | None
+    applicable: bool
+    hypotheses: tuple[str, ...]
+    citation: str
+    best: bool = False
+
+
+def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bound:
+    """Row whose value is ``compute()``, evaluated only when ``applicable``.
+
+    A :class:`NotApplicable` raised by ``compute`` makes the row inapplicable;
+    an inapplicable row has value ``None``.
+    """
+    value = None
+    if applicable:
+        try:
+            value = compute()
+        except NotApplicable:
+            applicable = False
+    return Bound(name, kind, value, applicable, hypotheses, citation)
+
+
+def mark_best(rows: list[Bound]) -> list[Bound]:
+    """Mark the minimum applicable upper and the maximum applicable lower
+    bound best, and clear ``best`` elsewhere.
+
+    Every row within float rounding of the best value ties with it, e.g. the
+    exact volume of the rectification of the tetrahedron (the antiprism A(3))
+    with its sharp bound v_oct.
+    """
+    uppers = [r.value for r in rows if r.applicable and r.kind == "upper"]
+    lowers = [r.value for r in rows if r.applicable and r.kind == "lower"]
+    best = {"upper": min(uppers, default=None), "lower": max(lowers, default=None)}
+    marked = []
+    for r in rows:
+        flag = r.applicable and math.isclose(r.value, best[r.kind], rel_tol=1e-12)
+        marked.append(r if r.best == flag else replace(r, best=flag))
+    return marked

@@ -108,7 +108,8 @@ class SkeletonCensus:
 
 
 def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation on 0..N-1, sorted by minimal element."""
+    """Cycles of a permutation on 0..N-1, sorted by minimal element; each
+    cycle starts at its minimal element and follows ``perm``."""
     seen = [False] * len(perm)
     cycles = []
     for start in range(len(perm)):
@@ -125,12 +126,20 @@ def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def vertex_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
-    """sigma-orbits in canonical order (sorted by minimal dart)."""
+    """sigma-orbits in canonical order (sorted by minimal dart).
+
+    Each orbit starts at its minimal dart d and reads d, sigma(d),
+    sigma(sigma(d)), ...
+    """
     return _orbits(m.sigma)
 
 
 def face_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
-    """phi-orbits in canonical order (sorted by minimal dart)."""
+    """phi-orbits in canonical order (sorted by minimal dart).
+
+    Each orbit starts at its minimal dart d and reads d, phi(d),
+    phi(phi(d)), ...
+    """
     n = m.dart_count
     return _orbits(tuple(m.sigma[m.alpha[d]] for d in range(n)))
 

@@ -8,16 +8,15 @@ polyhedra with face-census refinements, and re-express them in terms of the
 edge count of the original skeleton.
 
 Applicability hypotheses (non-obtuse, ideal-right-angled, ...) are carried as
-flags on :class:`PolyhedronBound`; inputs are purely combinatorial, so the
-geometric hypotheses are the caller's assertion.
+flags on :class:`Bound`; inputs are purely combinatorial, so the geometric
+hypotheses are the caller's assertion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .lobachevsky import VolumeExpr
+from .lobachevsky import Bound, VolumeExpr, bound_row, mark_best
 from .maps import (
     CombinatorialMap,
     SkeletonCensus,
@@ -27,59 +26,42 @@ from .maps import (
 )
 
 __all__ = [
-    "PolyhedronBound",
-    "atkinson_mixed_bound",
     "atkinson_mixed_expr",
-    "irp_bounds",
     "irp_bounds_expr",
-    "thm_edge_bound",
     "thm_edge_expr",
-    "face_census_bound",
     "face_census_expr",
-    "face_census_log_bound",
     "face_census_log_expr",
-    "irp_triangle_bound",
     "irp_triangle_expr",
-    "triangle_trivalent_bound",
     "triangle_trivalent_expr",
-    "prism_atkinson_bound",
     "prism_atkinson_expr",
     "rectification_bounds",
 ]
 
 
-@dataclass(frozen=True)
-class PolyhedronBound:
-    """One named bound value with its applicability metadata."""
-
-    name: str
-    kind: str  # "upper" | "lower"
-    value: float | None
-    applicable: bool
-    hypotheses: tuple[str, ...]
-    citation: str
-    best: bool = False
-
-
 def atkinson_mixed_expr(v3: int, v4: int) -> VolumeExpr:
+    """Atkinson's upper bound for non-obtuse polyhedra with only 3- and
+    4-valent vertices: ((2V4+3V3-2)/4) v_oct + ((15V3+20V4)/16) v_tet."""
     if v3 < 0 or v4 < 0:
-        raise ValueError("atkinson_mixed_bound: vertex counts must be nonnegative")
+        raise ValueError("atkinson_mixed_expr: vertex counts must be nonnegative")
     if v3 + v4 < 4:
-        raise ValueError("atkinson_mixed_bound: a polyhedron needs at least 4 vertices")
+        raise ValueError("atkinson_mixed_expr: a polyhedron needs at least 4 vertices")
     return VolumeExpr.v_oct(Fraction(2 * v4 + 3 * v3 - 2, 4)) + VolumeExpr.v_tet(
         Fraction(15 * v3 + 20 * v4, 16)
     )
 
 
-def atkinson_mixed_bound(v3: int, v4: int) -> float:
-    """Atkinson's upper bound for non-obtuse polyhedra with only 3- and
-    4-valent vertices: ((2V4+3V3-2)/4) v_oct + ((15V3+20V4)/16) v_tet."""
-    return atkinson_mixed_expr(v3, v4).value
-
-
 def irp_bounds_expr(v: int) -> tuple[VolumeExpr, VolumeExpr]:
+    """Two-sided vertex-count bounds (lower, upper) for ideal right-angled
+    polyhedra.
+
+    Lower (voct/4)V - voct/2 always; upper (voct/2)V - c with c = 2 for
+    V <= 8 (sharp on the octahedron at V=6), c = 5/2 for 9 <= V <= 24,
+    c = 3 for V > 24.
+    """
     if v < 6:
-        raise ValueError("irp_bounds: an ideal right-angled polyhedron has at least 6 vertices")
+        raise ValueError(
+            "irp_bounds_expr: an ideal right-angled polyhedron has at least 6 vertices"
+        )
     lower = VolumeExpr.v_oct(Fraction(v, 4) - Fraction(1, 2))
     # The 5/2 refinement cannot start at V=8: the square antiprism (V=8) has
     # volume 6.0230 > 3/2 v_oct.  It holds from V=9 on.
@@ -93,20 +75,12 @@ def irp_bounds_expr(v: int) -> tuple[VolumeExpr, VolumeExpr]:
     return lower, upper
 
 
-def irp_bounds(v: int) -> tuple[float, float]:
-    """Two-sided vertex-count bounds for ideal right-angled polyhedra.
-
-    Lower (voct/4)V - voct/2 always; upper (voct/2)V - c with c = 2 for
-    V <= 8 (sharp on the octahedron at V=6), c = 5/2 for 9 <= V <= 24,
-    c = 3 for V > 24.
-    """
-    lo, hi = irp_bounds_expr(v)
-    return lo.value, hi.value
-
-
 def thm_edge_expr(e: int, is_tetrahedron: bool) -> VolumeExpr:
+    """Edge-count upper bound for a generalized hyperbolic polyhedron:
+    v_oct for the tetrahedron, else (voct/2)E - (5/2)voct, tightened to
+    (voct/2)E - 3voct when E > 24."""
     if e < 6:
-        raise ValueError("thm_edge_bound: a polyhedron has at least 6 edges")
+        raise ValueError("thm_edge_expr: a polyhedron has at least 6 edges")
     if is_tetrahedron:
         return VolumeExpr.v_oct()
     # same V=8 caveat as irp_bounds_expr, transported through the medial
@@ -119,19 +93,14 @@ def thm_edge_expr(e: int, is_tetrahedron: bool) -> VolumeExpr:
     return VolumeExpr.v_oct(Fraction(e, 2) - cut)
 
 
-def thm_edge_bound(e: int, is_tetrahedron: bool) -> float:
-    """Edge-count upper bound for a generalized hyperbolic polyhedron:
-    v_oct for the tetrahedron, else (voct/2)E - (5/2)voct, tightened to
-    (voct/2)E - 3voct when E > 24."""
-    return thm_edge_expr(e, is_tetrahedron).value
-
-
 def _require_irp_census(census: SkeletonCensus) -> None:
     if not census.is_four_regular():
         raise ValueError("face-census bounds require a 4-regular (ideal right-angled) census")
 
 
 def face_census_expr(census: SkeletonCensus) -> VolumeExpr:
+    """Bipyramid-decomposition bound sum_n L(pi/n) p_n n - 4 v_tet for an
+    ideal right-angled polyhedron with face census p_n."""
     _require_irp_census(census)
     total = VolumeExpr.v_tet(-4)
     for n, count in sorted(census.face_counts.items()):
@@ -139,13 +108,8 @@ def face_census_expr(census: SkeletonCensus) -> VolumeExpr:
     return total
 
 
-def face_census_bound(census: SkeletonCensus) -> float:
-    """Bipyramid-decomposition bound sum_n L(pi/n) p_n n - 4 v_tet for an
-    ideal right-angled polyhedron with face census p_n."""
-    return face_census_expr(census).value
-
-
 def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
+    """Logarithmic form pi * sum_n log(n/2) p_n - 4 v_tet of the face-census bound."""
     _require_irp_census(census)
     total = VolumeExpr.v_tet(-4)
     for n, count in sorted(census.face_counts.items()):
@@ -153,62 +117,45 @@ def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
     return total
 
 
-def face_census_log_bound(census: SkeletonCensus) -> float:
-    """Logarithmic form pi * sum_n log(n/2) p_n - 4 v_tet of the face-census bound."""
-    return face_census_log_expr(census).value
-
-
 def irp_triangle_expr(v: int, p3: int) -> VolumeExpr:
+    """Triangle-aware bound 2 v_tet (V - (p3+8)/4) for ideal right-angled
+    polyhedra, tightened to (p3+13)/4 when V > 24."""
     if v < 6:
-        raise ValueError("irp_triangle_bound: need V >= 6")
+        raise ValueError("irp_triangle_expr: need V >= 6")
     if p3 < 8:
-        raise ValueError("irp_triangle_bound: 4-regular genus-0 forces p3 >= 8")
+        raise ValueError("irp_triangle_expr: 4-regular genus-0 forces p3 >= 8")
     shift = Fraction(p3 + 13, 4) if v > 24 else Fraction(p3 + 8, 4)
     return VolumeExpr.v_tet(2 * (v - shift))
 
 
-def irp_triangle_bound(v: int, p3: int) -> float:
-    """Triangle-aware bound 2 v_tet (V - (p3+8)/4) for ideal right-angled
-    polyhedra, tightened to (p3+13)/4 when V > 24."""
-    return irp_triangle_expr(v, p3).value
-
-
-def triangle_trivalent_expr(e: int, v3: int, p3: int, all_trivalent: bool) -> VolumeExpr:
+def triangle_trivalent_expr(e: int, v3: int, p3: int, all_trivalent: bool = False) -> VolumeExpr:
+    """Edge-count bound refined by triangular faces and trivalent vertices:
+    2 v_tet (E - (p3+V3+8)/4), or (5 v_tet/3)(E - (3 p3 + 24)/10) when every
+    vertex is trivalent."""
     if e < 6:
-        raise ValueError("triangle_trivalent_bound: a polyhedron has at least 6 edges")
+        raise ValueError("triangle_trivalent_expr: a polyhedron has at least 6 edges")
     if v3 < 0 or p3 < 0:
-        raise ValueError("triangle_trivalent_bound: counts must be nonnegative")
+        raise ValueError("triangle_trivalent_expr: counts must be nonnegative")
     if 3 * v3 > 2 * e or 3 * p3 > 2 * e:
-        raise ValueError("triangle_trivalent_bound: counts inconsistent with the edge count")
+        raise ValueError("triangle_trivalent_expr: counts inconsistent with the edge count")
     if all_trivalent:
         if (2 * e) % 3 != 0:
-            raise ValueError("triangle_trivalent_bound: all-trivalent needs 2E divisible by 3")
+            raise ValueError("triangle_trivalent_expr: all-trivalent needs 2E divisible by 3")
         return VolumeExpr.v_tet(Fraction(5, 3) * (e - Fraction(3 * p3 + 24, 10)))
     return VolumeExpr.v_tet(2 * (e - Fraction(p3 + v3 + 8, 4)))
 
 
-def triangle_trivalent_bound(e: int, v3: int, p3: int, all_trivalent: bool = False) -> float:
-    """Edge-count bound refined by triangular faces and trivalent vertices:
-    2 v_tet (E - (p3+V3+8)/4), or (5 v_tet/3)(E - (3 p3 + 24)/10) when every
-    vertex is trivalent."""
-    return triangle_trivalent_expr(e, v3, p3, all_trivalent).value
-
-
 def prism_atkinson_expr(n: int) -> VolumeExpr:
-    if n < 3:
-        raise ValueError("prism_atkinson_bound: need n >= 3")
-    return VolumeExpr.v_oct(Fraction(3, 2) * n - 2)
-
-
-def prism_atkinson_bound(n: int) -> float:
     """Atkinson's prism bound (3/2) v_oct n - 2 v_oct."""
-    return prism_atkinson_expr(n).value
+    if n < 3:
+        raise ValueError("prism_atkinson_expr: need n >= 3")
+    return VolumeExpr.v_oct(Fraction(3, 2) * n - 2)
 
 
 _IRP_HYP = ("ideal-right-angled medial (rectification)",)
 
 
-def rectification_bounds(m: CombinatorialMap) -> list[PolyhedronBound]:
+def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
     """Every applicable bound for the polyhedra with 1-skeleton ``m``.
 
     Bounds on the medial's ideal right-angled polyhedron bound the supremum
@@ -222,105 +169,67 @@ def rectification_bounds(m: CombinatorialMap) -> list[PolyhedronBound]:
     if not is_three_connected(m):
         raise ValueError("rectification_bounds: skeleton must be 3-connected")
     med_census = validate_map(medial(m))
+    lower, upper = irp_bounds_expr(med_census.V)
 
-    is_tet = census.V == 4
-    rows: list[PolyhedronBound] = []
-
-    degrees_ok = set(census.degree_counts) <= {3, 4}
-    rows.append(
-        PolyhedronBound(
-            name="atkinson-mixed",
-            kind="upper",
-            value=atkinson_mixed_bound(census.v3, census.v4) if degrees_ok else None,
-            applicable=degrees_ok,
-            hypotheses=("non-obtuse", "vertex degrees in {3,4}"),
-            citation="Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="edge-bound",
-            kind="upper",
-            value=thm_edge_bound(census.E, is_tet),
-            applicable=True,
-            hypotheses=("3-connected skeleton",),
-            citation="vertex-count bounds for ideal right-angled polyhedra applied to the medial",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="triangle-trivalent",
-            kind="upper",
-            value=triangle_trivalent_bound(census.E, census.v3, census.p3, census.all_trivalent()),
-            applicable=True,
-            hypotheses=("3-connected skeleton",),
-            citation="face-census refinement of the edge-count bound",
-        )
-    )
-    lower, upper = irp_bounds(med_census.V)
-    rows.append(
-        PolyhedronBound(
-            name="medial-vertex-count",
-            kind="upper",
-            value=upper,
-            applicable=True,
-            hypotheses=_IRP_HYP,
-            citation="Atkinson 2009 vertex-count bounds (with V>=8 and V>24 refinements)",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="medial-face-census",
-            kind="upper",
-            value=face_census_bound(med_census),
-            applicable=True,
-            hypotheses=_IRP_HYP,
-            citation="bipyramid-decomposition face-census bound",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="medial-face-census-log",
-            kind="upper",
-            value=face_census_log_bound(med_census),
-            applicable=True,
-            hypotheses=_IRP_HYP,
-            citation="logarithmic bipyramid bound",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="medial-triangle-count",
-            kind="upper",
-            value=irp_triangle_bound(med_census.V, med_census.p3),
-            applicable=True,
-            hypotheses=_IRP_HYP,
-            citation="triangle-aware vertex-count bound",
-        )
-    )
-    rows.append(
-        PolyhedronBound(
-            name="medial-vertex-count-lower",
-            kind="lower",
-            value=lower,
-            applicable=True,
-            hypotheses=_IRP_HYP + ("lower bound for the rectification volume, i.e. for sup vol",),
-            citation="Atkinson 2009 lower bound",
-        )
-    )
-
-    best_upper = min(
-        (r.value for r in rows if r.applicable and r.kind == "upper"), default=None
-    )
-    best_lower = max(
-        (r.value for r in rows if r.applicable and r.kind == "lower"), default=None
-    )
-    marked = []
-    for r in rows:
-        if r.applicable and r.kind == "upper" and r.value == best_upper:
-            marked.append(replace(r, best=True))
-        elif r.applicable and r.kind == "lower" and r.value == best_lower:
-            marked.append(replace(r, best=True))
-        else:
-            marked.append(r)
-    return marked
+    rows = [
+        bound_row(
+            "atkinson-mixed",
+            "upper",
+            ("non-obtuse", "vertex degrees in {3,4}"),
+            "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
+            lambda: atkinson_mixed_expr(census.v3, census.v4).value,
+            applicable=set(census.degree_counts) <= {3, 4},
+        ),
+        bound_row(
+            "edge-bound",
+            "upper",
+            ("3-connected skeleton",),
+            "vertex-count bounds for ideal right-angled polyhedra applied to the medial",
+            lambda: thm_edge_expr(census.E, census.V == 4).value,
+        ),
+        bound_row(
+            "triangle-trivalent",
+            "upper",
+            ("3-connected skeleton",),
+            "face-census refinement of the edge-count bound",
+            lambda: triangle_trivalent_expr(
+                census.E, census.v3, census.p3, census.all_trivalent()
+            ).value,
+        ),
+        bound_row(
+            "medial-vertex-count",
+            "upper",
+            _IRP_HYP,
+            "Atkinson 2009 vertex-count bounds (with V>=8 and V>24 refinements)",
+            lambda: upper.value,
+        ),
+        bound_row(
+            "medial-face-census",
+            "upper",
+            _IRP_HYP,
+            "bipyramid-decomposition face-census bound",
+            lambda: face_census_expr(med_census).value,
+        ),
+        bound_row(
+            "medial-face-census-log",
+            "upper",
+            _IRP_HYP,
+            "logarithmic bipyramid bound",
+            lambda: face_census_log_expr(med_census).value,
+        ),
+        bound_row(
+            "medial-triangle-count",
+            "upper",
+            _IRP_HYP,
+            "triangle-aware vertex-count bound",
+            lambda: irp_triangle_expr(med_census.V, med_census.p3).value,
+        ),
+        bound_row(
+            "medial-vertex-count-lower",
+            "lower",
+            _IRP_HYP + ("lower bound for the rectification volume, i.e. for sup vol",),
+            "Atkinson 2009 lower bound",
+            lambda: lower.value,
+        ),
+    ]
+    return mark_best(rows)

@@ -113,11 +113,11 @@ def continued_fraction_value(digits: list[int]) -> Fraction:
 class TwistReducedDiagram:
     """4-regular diagram map with per-vertex axis bit and signed twist length.
 
-    Vertices are indexed in canonical order (sigma-orbits by minimal dart).
+    Vertices are indexed in the order of :func:`~volbounds.maps.vertex_orbits`.
     ``axis[i]`` selects the opposite corner pair of vertex i carrying the
-    augmentation triangles: with the vertex's sigma-cycle anchored at its
-    minimal dart as (e0, e1, e2, e3), axis 0 means corners (e0,e1) and
-    (e2,e3); axis 1 means corners (e1,e2) and (e3,e0).
+    augmentation triangles: with the vertex's sigma-cycle (e0, e1, e2, e3)
+    as ``vertex_orbits`` lists it, axis 0 means corners (e0,e1) and (e2,e3);
+    axis 1 means corners (e1,e2) and (e3,e0).
     """
 
     map: CombinatorialMap

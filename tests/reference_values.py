@@ -7,9 +7,17 @@ oracle; ``test_reference_values.py`` re-derives every value here.
 
 The comment beside each value keeps the decimal the check used to pin and
 where that decimal comes from. "Six-place constants" are v_tet = 1.014941
-and v_oct = 3.663863, the decimals acceptance criterion 1 pins; 1.014941 is
-v_tet = 1.01494160... truncated, not rounded.
+and v_oct = 3.663863, the decimals acceptance criterion 1 used to pin;
+1.014941 is v_tet = 1.01494160... truncated, not rounded.
 """
+
+# v_tet = 3 L(pi/3) = 1.01494160640965362... Acceptance criterion 1 pinned
+# 1.014941, the truncation; rounded to six places it is 1.014942.
+V_TET_EXACT = 1.014941606409654
+
+# v_oct = 8 L(pi/4) = 3.66386237670887606... Acceptance criterion 1 pinned
+# 3.663863, a mis-rounding; rounded to six places it is 3.663862.
+V_OCT_EXACT = 3.663862376708876
 
 # (2 v_oct - 4 v_tet) / ((3/2) v_oct - 5 v_tet). Printed 7.760616 is not
 # reproducible: six-place constants give 7.760730.

@@ -16,20 +16,19 @@ from reference_values import (
     PRISM_CROSSOVER,
     THRESHOLD_P3_COEFFICIENT,
     THRESHOLD_RHS,
+    V_OCT_EXACT,
+    V_TET_EXACT,
 )
 from volbounds.augmented import augment, white_census_by_corner_count
 from volbounds.links import (
-    adams_crossing_bound,
     adams_crossing_expr,
-    adams_twist_bound,
-    agol_thurston_bound,
+    adams_twist_expr,
     agol_thurston_expr,
     jones_bounds_expr,
-    large_twist_bound,
     large_twist_expr,
     large_twist_refined_expr,
     link_report,
-    two_bridge_bounds,
+    two_bridge_bounds_expr,
     HypothesisFlags,
 )
 from volbounds.lobachevsky import (
@@ -73,8 +72,8 @@ PI = math.pi
 
 def test_c01_constants():
     start = time.monotonic()
-    assert abs(3 * lobachevsky(PI / 3) - 1.014941) < 1e-6
-    assert abs(8 * lobachevsky(PI / 4) - 3.663863) < 1e-6
+    assert abs(3 * lobachevsky(PI / 3) - V_TET_EXACT) < 1e-9
+    assert abs(8 * lobachevsky(PI / 4) - V_OCT_EXACT) < 1e-9
     assert time.monotonic() - start < 1.0
 
 
@@ -196,7 +195,7 @@ def test_c07c_adams_crossing(worked_example):
     # the printed 28.418348 is 28 times a truncated v_tet (see reference_values)
     _, stats, _, _ = worked_example
     assert adams_crossing_expr(stats.c) == VolumeExpr.v_tet(28)
-    value = adams_crossing_bound(stats.c)
+    value = adams_crossing_expr(stats.c).value
     assert abs(value - ADAMS_CROSSING_C11) < 1e-9, (
         f"computed 28 v_tet = {value:.12f}, reference {ADAMS_CROSSING_C11}"
     )
@@ -204,19 +203,19 @@ def test_c07c_adams_crossing(worked_example):
 
 def test_c07d_agol_thurston(worked_example):
     _, stats, _, _ = worked_example
-    assert abs(agol_thurston_bound(stats.t) - 20.298832) < 1e-5
+    assert abs(agol_thurston_expr(stats.t).value - 20.298832) < 1e-5
 
 
 def test_c07e_adams_twist(worked_example):
     _, stats, _, _ = worked_example
-    value = adams_twist_bound(stats)
+    value = adams_twist_expr(stats).value
     assert abs(value - 16.0426) < 2e-3
     assert abs(value - 16.042742) < 1e-6  # frozen exact-form evaluation
 
 
 def test_c07f_two_bridge_bounds(worked_example):
     _, stats, _, _ = worked_example
-    lower, upper = two_bridge_bounds(stats.t)
+    lower, upper = (b.value for b in two_bridge_bounds_expr(stats.t))
     assert abs(lower - 3.383046) < 1e-5
     assert abs(upper - 14.655452) < 1e-5
 
@@ -269,13 +268,13 @@ def test_c08_augmentation_invariants():
 
 def test_c09_large_twist_properties():
     for t in range(9, 101):
-        assert large_twist_bound(t) < agol_thurston_bound(t)
+        assert large_twist_expr(t).value < agol_thurston_expr(t).value
         gap = agol_thurston_expr(t) - large_twist_expr(t)
         assert gap == VolumeExpr.v_tet(4)
         assert large_twist_refined_expr(t, 1) == large_twist_expr(t)
     for t in range(9, 40):
         stats = twist_stats(TwistDecomposition((5,) * t))
-        assert large_twist_bound(t) < adams_twist_bound(stats) - 1e-9
+        assert large_twist_expr(t).value < adams_twist_expr(stats).value - 1e-9
 
 
 # -- criterion 10: sandwich property --------------------------------------------

@@ -8,7 +8,6 @@ from volbounds.augmented import (
     augment,
     augmented_to_dict,
     white_census_by_corner_count,
-    white_face_census,
 )
 from volbounds.maps import (
     face_orbits,
@@ -41,7 +40,7 @@ class TestTwoTwists:
 
     def test_white_census(self):
         p = augment(two_bridge_diagram(5, 2))
-        assert white_face_census(p) == {3: 4}
+        assert p.white_census == {3: 4}
 
 
 class TestThreeTwists:

@@ -1,6 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from volbounds.cli import run
 from volbounds.maps import load_map, maps_isomorphic, medial, pyramid, validate_map
@@ -55,6 +61,41 @@ class TestPolyFamily:
         for row in doc["bounds"]:
             if row["applicable"]:
                 assert len(row["value"].split(".")[1]) == 6
+
+
+FAMILY_MEMBERS = [
+    (family, n)
+    for family, low in (
+        ("pyramid", 3),
+        ("bipyramid", 3),
+        ("prism", 3),
+        ("antiprism", 3),
+        ("two-apex-pyramid", 4),
+        ("twisted-antiprism", 4),
+    )
+    for n in range(low, 13)
+]
+EXACT_ROWS = {"pyramid": "antiprism-volume", "two-apex-pyramid": "twisted-antiprism-volume"}
+
+
+@pytest.mark.parametrize("family,n", FAMILY_MEMBERS)
+def test_family_best_column(family, n):
+    code, out, _ = invoke(
+        ["--format", "json", "poly", "family", "--name", family, "--n", str(n), "--bounds"]
+    )
+    assert code == 0
+    rows = [r for r in json.loads(out)["bounds"] if r["applicable"]]
+    best = {
+        "upper": min(float(r["value"]) for r in rows if r["kind"] == "upper"),
+        "lower": max(float(r["value"]) for r in rows if r["kind"] == "lower"),
+    }
+    expected = {r["name"] for r in rows if float(r["value"]) == best[r["kind"]]}
+    starred = {r["name"] for r in json.loads(out)["bounds"] if r["best"]}
+    assert starred == expected
+    if family in EXACT_ROWS and n >= 5:
+        # the exact supremum is the only best upper bound
+        uppers = {r["name"] for r in rows if r["best"] and r["kind"] == "upper"}
+        assert uppers == {EXACT_ROWS[family]}
 
 
 class TestPolyFiles:
@@ -191,3 +232,28 @@ class TestLinkAugment:
 def test_unknown_subcommand():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
+
+
+def test_closed_stdout_exits_one_quietly():
+    # b/a = [1; 1, ..., 1, 2] with 8000 twists: about 250 kB of JSON, far
+    # more than a pipe buffer holds, so the writer is still writing when the
+    # reader goes away
+    a, b = 1, 2
+    for _ in range(7998):
+        a, b = b, a + b
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "volbounds.cli", "--format", "json",
+         "link", "augment", "--fraction", f"{b}/{a}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "error:" not in err
+    assert "Exception ignored" not in err

@@ -10,21 +10,18 @@ from volbounds.links import (
     HypothesisFlags,
     NotApplicable,
     adams_a_case,
-    adams_crossing_bound,
-    adams_octahedral_bound,
-    adams_twist_bound,
-    agol_thurston_bound,
+    adams_crossing_expr,
+    adams_octahedral_expr,
+    adams_twist_expr,
     agol_thurston_expr,
-    dasbach_tsvietkova_bound,
-    fkp_lower_bound,
-    jones_bounds,
+    dasbach_tsvietkova_expr,
+    fkp_lower_expr,
     jones_bounds_expr,
-    large_twist_bound,
     large_twist_expr,
     large_twist_refined_expr,
     link_report,
-    two_bridge_bounds,
-    white_face_bound,
+    two_bridge_bounds_expr,
+    white_face_expr,
 )
 from volbounds.twists import TwistDecomposition, twist_stats
 
@@ -37,67 +34,69 @@ def stats(*lengths):
 
 class TestCrossingBounds:
     def test_eleven_crossings(self):
-        assert adams_crossing_bound(11) == pytest.approx(28 * V_TET, abs=1e-12)
+        assert adams_crossing_expr(11).value == pytest.approx(28 * V_TET, abs=1e-12)
 
     def test_figure_eight_excluded(self):
         with pytest.raises(NotApplicable):
-            adams_crossing_bound(4, is_figure_eight=True)
+            adams_crossing_expr(4, is_figure_eight=True)
 
     def test_five_crossings(self):
-        assert adams_crossing_bound(5) == pytest.approx(4 * V_TET, abs=1e-12)
+        assert adams_crossing_expr(5).value == pytest.approx(4 * V_TET, abs=1e-12)
 
     def test_octahedral(self):
-        assert adams_octahedral_bound(11) == pytest.approx(6 * V_OCT + 4 * V_TET, abs=1e-12)
-        assert adams_octahedral_bound(11) == pytest.approx(26.0429406858919, abs=1e-9)
-        assert adams_octahedral_bound(5) == pytest.approx(4 * V_TET, abs=1e-12)
+        assert adams_octahedral_expr(11).value == pytest.approx(6 * V_OCT + 4 * V_TET, abs=1e-12)
+        assert adams_octahedral_expr(11).value == pytest.approx(26.0429406858919, abs=1e-9)
+        assert adams_octahedral_expr(5).value == pytest.approx(4 * V_TET, abs=1e-12)
         with pytest.raises(ValueError):
-            adams_octahedral_bound(4)
+            adams_octahedral_expr(4)
 
 
 class TestAgolThurston:
     def test_values(self):
-        assert agol_thurston_bound(3) == pytest.approx(20 * V_TET, abs=1e-12)
-        assert agol_thurston_bound(1) == 0.0
+        assert agol_thurston_expr(3).value == pytest.approx(20 * V_TET, abs=1e-12)
+        assert agol_thurston_expr(1).value == 0.0
         assert agol_thurston_expr(9) == VolumeExpr.v_tet(80)
         with pytest.raises(ValueError):
-            agol_thurston_bound(0)
+            agol_thurston_expr(0)
 
 
 class TestDasbachTsvietkova:
     def test_worked_example(self):
-        assert dasbach_tsvietkova_bound(stats(3, 4, 4)) == pytest.approx(18 * V_TET, abs=1e-12)
+        value = dasbach_tsvietkova_expr(stats(3, 4, 4)).value
+        assert value == pytest.approx(18 * V_TET, abs=1e-12)
 
     def test_a_six_branch(self):
-        assert dasbach_tsvietkova_bound(stats(1, 1, 1)) == pytest.approx(6 * V_TET, abs=1e-12)
+        value = dasbach_tsvietkova_expr(stats(1, 1, 1)).value
+        assert value == pytest.approx(6 * V_TET, abs=1e-12)
 
     def test_a_seven_branch(self):
-        assert dasbach_tsvietkova_bound(stats(3)) == pytest.approx(V_TET, abs=1e-12)
+        assert dasbach_tsvietkova_expr(stats(3)).value == pytest.approx(V_TET, abs=1e-12)
 
 
 class TestAdamsTwist:
     def test_worked_example(self):
         # 16 L(pi/8) + 40 L(pi/10) - a(g5=0, t4>=1); frozen from the oracle
-        value = adams_twist_bound(stats(3, 4, 4))
+        value = adams_twist_expr(stats(3, 4, 4)).value
         assert value == pytest.approx(16.0427423092216, abs=1e-9)
         assert value == pytest.approx(16.0426, abs=2e-3)
 
     def test_all_length_one(self):
-        value = adams_twist_bound(stats(1, 1, 1, 1, 1))
+        value = adams_twist_expr(stats(1, 1, 1, 1, 1)).value
         assert value == pytest.approx(10 * V_TET - 2 * V_OCT, abs=1e-12)
 
     def test_three_twos(self):
-        value = adams_twist_bound(stats(2, 2, 2))
+        value = adams_twist_expr(stats(2, 2, 2)).value
         assert value == pytest.approx(7 * V_TET, abs=1e-12)
 
     def test_hypotheses(self):
         with pytest.raises(NotApplicable):
-            adams_twist_bound(stats(3, 4, 4), reduced_alternating=False)
+            adams_twist_expr(stats(3, 4, 4), reduced_alternating=False)
         with pytest.raises(NotApplicable):
-            adams_twist_bound(stats(3, 4, 4), is_borromean=True)
+            adams_twist_expr(stats(3, 4, 4), is_borromean=True)
         with pytest.raises(NotApplicable):
-            adams_twist_bound(stats(5, 5))  # t < 3
+            adams_twist_expr(stats(5, 5))  # t < 3
         with pytest.raises(NotApplicable):
-            adams_twist_bound(stats(1, 1, 2))  # c < 5
+            adams_twist_expr(stats(1, 1, 2))  # c < 5
 
     def test_case_selection_order(self):
         assert adams_a_case(stats(1, 1, 1))[0] == "g2=0"
@@ -140,12 +139,12 @@ class TestAdamsTwist:
 
 class TestLargeTwist:
     def test_values(self):
-        assert large_twist_bound(9) == pytest.approx(76 * V_TET, abs=1e-12)
+        assert large_twist_expr(9).value == pytest.approx(76 * V_TET, abs=1e-12)
         assert large_twist_expr(9) == VolumeExpr.v_tet(76)
 
     def test_boundary(self):
         with pytest.raises(NotApplicable):
-            large_twist_bound(8)
+            large_twist_expr(8)
 
     def test_gap_to_agol_thurston(self):
         for t in range(9, 101):
@@ -165,40 +164,40 @@ class TestLargeTwist:
         # all lengths >= 5: exact bound is 10 v_tet t - a(g5>=1)
         for t in range(9, 30):
             long_stats = stats(*([5] * t))
-            assert large_twist_bound(t) < adams_twist_bound(long_stats) - 1e-9
+            assert large_twist_expr(t).value < adams_twist_expr(long_stats).value - 1e-9
 
 
 class TestFkpLower:
     def test_values(self):
-        assert fkp_lower_bound(3, 7) == pytest.approx(0.70735 * 2, abs=1e-12)
+        assert fkp_lower_expr(3, 7).value == pytest.approx(0.70735 * 2, abs=1e-12)
 
     def test_hypotheses(self):
         with pytest.raises(NotApplicable):
-            fkp_lower_bound(3, 4)
+            fkp_lower_expr(3, 4)
         with pytest.raises(NotApplicable):
-            fkp_lower_bound(1, 9)
+            fkp_lower_expr(1, 9)
         with pytest.raises(NotApplicable):
-            fkp_lower_bound(3, 9, reduced_alternating=False)
+            fkp_lower_expr(3, 9, reduced_alternating=False)
 
 
 class TestTwoBridge:
     def test_three_twists(self):
-        lower, upper = two_bridge_bounds(3)
+        lower, upper = (b.value for b in two_bridge_bounds_expr(3))
         assert lower == pytest.approx(6 * V_TET - 2.7066, abs=1e-12)
         assert upper == pytest.approx(4 * V_OCT, abs=1e-12)
 
     def test_two_twists(self):
-        lower, upper = two_bridge_bounds(2)
+        lower, upper = (b.value for b in two_bridge_bounds_expr(2))
         assert lower == pytest.approx(4 * V_TET - 2.7066, abs=1e-12)
         assert upper == pytest.approx(2 * V_OCT, abs=1e-12)
 
     def test_snappy_value_inside(self):
-        lower, upper = two_bridge_bounds(3)
+        lower, upper = (b.value for b in two_bridge_bounds_expr(3))
         assert lower < 10.117141 < upper
 
     def test_too_few(self):
         with pytest.raises(ValueError):
-            two_bridge_bounds(1)
+            two_bridge_bounds_expr(1)
 
 
 class TestJones:
@@ -208,22 +207,22 @@ class TestJones:
         assert upper == VolumeExpr.v_tet(20)
 
     def test_max_parse(self):
-        lower, upper = jones_bounds(1, 1)
+        lower, upper = (b.value for b in jones_bounds_expr(1, 1))
         assert lower == pytest.approx(V_OCT, abs=1e-12)
         assert upper == pytest.approx(10 * V_TET, abs=1e-12)
 
     def test_degenerate(self):
-        lower, upper = jones_bounds(0, 0)
+        lower, upper = (b.value for b in jones_bounds_expr(0, 0))
         assert upper == pytest.approx(-10 * V_TET, abs=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            jones_bounds(-1, 2)
+            jones_bounds_expr(-1, 2)
 
 
 class TestWhiteFace:
     def test_true_census_t3(self):
-        value = white_face_bound(3, {3: 2, 4: 3})
+        value = white_face_expr(3, {3: 2, 4: 3}).value
         expected = 4 * V_TET + 2 * (6 * lobachevsky(PI / 3) + 12 * lobachevsky(PI / 4))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(19.1111199814039, abs=1e-9)
@@ -231,10 +230,10 @@ class TestWhiteFace:
     def test_mismatched_census_rejected(self):
         # the printed t=3 census {3:3, 4:2} sums to 17, not 6t = 18
         with pytest.raises(CensusMismatchError):
-            white_face_bound(3, {3: 3, 4: 2})
+            white_face_expr(3, {3: 3, 4: 2})
 
     def test_octahedral_census(self):
-        assert white_face_bound(2, {3: 4}) == pytest.approx(8 * V_TET, abs=1e-12)
+        assert white_face_expr(2, {3: 4}).value == pytest.approx(8 * V_TET, abs=1e-12)
 
 
 class TestLinkReport:

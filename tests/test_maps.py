@@ -27,6 +27,7 @@ from volbounds.maps import (
     validate_map,
     vertex_orbits,
 )
+from volbounds.twists import continued_fraction_value, two_bridge_diagram
 
 ALL_BUILDERS = [
     ("tetrahedron", tetrahedron()),
@@ -263,3 +264,33 @@ def test_vertex_and_face_orbits_cover_darts():
     for orbits in (vertex_orbits(m), face_orbits(m)):
         darts = [d for orbit in orbits for d in orbit]
         assert sorted(darts) == list(range(m.dart_count))
+
+
+def _two_bridge_maps():
+    rng = random.Random(7)
+    out = [two_bridge_diagram(5, 2).map, two_bridge_diagram(55, 17).map]
+    for t in range(2, 12):
+        digits = [rng.randint(1, 6) for _ in range(t - 1)] + [rng.randint(2, 6)]
+        value = continued_fraction_value(digits)
+        out.append(two_bridge_diagram(value.numerator, value.denominator).map)
+    return out
+
+
+ORBIT_CORPORA = {
+    "families": [m for _, m in ALL_BUILDERS],
+    "medials": [medial(m) for _, m in ALL_BUILDERS],
+    "duals": [dual(m) for _, m in ALL_BUILDERS],
+    "two-bridge diagrams": _two_bridge_maps(),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ORBIT_CORPORA))
+def test_orbits_start_at_their_minimal_dart_and_follow_the_permutation(corpus):
+    # augment reads the axis corners of each diagram vertex off its sigma-cycle
+    for m in ORBIT_CORPORA[corpus]:
+        phi = [m.sigma[m.alpha[d]] for d in range(m.dart_count)]
+        for orbits, perm in ((vertex_orbits(m), m.sigma), (face_orbits(m), phi)):
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+            for orbit in orbits:
+                assert orbit[0] == min(orbit)
+                assert all(perm[d] == orbit[(i + 1) % len(orbit)] for i, d in enumerate(orbit))

@@ -18,16 +18,14 @@ from volbounds.maps import (
     two_apex_pyramid,
 )
 from volbounds.polyhedra import (
-    atkinson_mixed_bound,
-    face_census_bound,
-    face_census_log_bound,
-    irp_bounds,
-    irp_triangle_bound,
-    prism_atkinson_bound,
+    atkinson_mixed_expr,
+    face_census_expr,
+    face_census_log_expr,
+    irp_bounds_expr,
+    irp_triangle_expr,
+    prism_atkinson_expr,
     rectification_bounds,
-    thm_edge_bound,
     thm_edge_expr,
-    triangle_trivalent_bound,
     triangle_trivalent_expr,
 )
 
@@ -38,66 +36,66 @@ Q14_CENSUS = SkeletonCensus(V=12, E=24, F=14, degree_counts={4: 12}, face_counts
 class TestAtkinsonMixed:
     def test_tetrahedron_counts(self):
         # frozen from the quadrature oracle
-        assert atkinson_mixed_bound(4, 0) == pytest.approx(12.9656869658084, abs=1e-9)
+        assert atkinson_mixed_expr(4, 0).value == pytest.approx(12.9656869658084, abs=1e-9)
 
     def test_octahedron_counts(self):
-        assert atkinson_mixed_bound(0, 6) == pytest.approx(16.7717179898446, abs=1e-9)
+        assert atkinson_mixed_expr(0, 6).value == pytest.approx(16.7717179898446, abs=1e-9)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            atkinson_mixed_bound(-1, 4)
+            atkinson_mixed_expr(-1, 4)
 
 
 class TestIrpBounds:
     def test_octahedron_equalities(self):
-        lower, upper = irp_bounds(6)
+        lower, upper = (b.value for b in irp_bounds_expr(6))
         assert lower == pytest.approx(V_OCT, abs=1e-12)
         assert upper == pytest.approx(V_OCT, abs=1e-12)
 
     def test_square_antiprism_not_cut_off(self):
         # the only ideal right-angled polyhedron with 8 vertices is the
         # square antiprism; the upper bound must not fall below its volume
-        _, upper = irp_bounds(8)
+        _, upper = (b.value for b in irp_bounds_expr(8))
         assert upper + 1e-12 >= antiprism_volume(4)
 
     def test_large_v(self):
-        _, upper = irp_bounds(26)
+        _, upper = (b.value for b in irp_bounds_expr(26))
         assert upper == pytest.approx(10 * V_OCT, abs=1e-9)
 
     def test_odd_vertex_count_allowed(self):
-        lower, upper = irp_bounds(9)
+        lower, upper = (b.value for b in irp_bounds_expr(9))
         assert lower < upper
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            irp_bounds(4)
+            irp_bounds_expr(4)
 
     def test_lower_never_exceeds_upper(self):
         for v in range(6, 60):
-            lower, upper = irp_bounds(v)
+            lower, upper = (b.value for b in irp_bounds_expr(v))
             assert lower <= upper + 1e-12
 
     def test_monotone_tightening(self):
         # the V>24 cut is at least as strong as the generic one
         for v in (26, 30, 50):
-            _, upper = irp_bounds(v)
+            _, upper = (b.value for b in irp_bounds_expr(v))
             generic = VolumeExpr.v_oct(Fraction(v, 2) - Fraction(5, 2)).value
             assert upper <= generic + 1e-12
 
 
 class TestEdgeBound:
     def test_tetrahedron(self):
-        assert thm_edge_bound(6, True) == pytest.approx(V_OCT, abs=1e-12)
+        assert thm_edge_expr(6, True).value == pytest.approx(V_OCT, abs=1e-12)
 
     def test_mid_range(self):
-        assert thm_edge_bound(12, False) == pytest.approx(12.8235183184811, abs=1e-9)
+        assert thm_edge_expr(12, False).value == pytest.approx(12.8235183184811, abs=1e-9)
 
     def test_large(self):
-        assert thm_edge_bound(25, False) == pytest.approx(9.5 * V_OCT, abs=1e-9)
+        assert thm_edge_expr(25, False).value == pytest.approx(9.5 * V_OCT, abs=1e-9)
 
     def test_small_e_rejected(self):
         with pytest.raises(ValueError):
-            thm_edge_bound(5, False)
+            thm_edge_expr(5, False)
 
     def test_monotone_tightening(self):
         for e in range(25, 40):
@@ -108,45 +106,45 @@ class TestEdgeBound:
 
 class TestFaceCensusBounds:
     def test_octahedron(self):
-        value = face_census_bound(OCT_CENSUS)
+        value = face_census_expr(OCT_CENSUS).value
         assert value == pytest.approx(4 * V_TET, abs=1e-12)
         assert value >= V_OCT
 
     def test_q14(self):
-        value = face_census_bound(Q14_CENSUS)
+        value = face_census_expr(Q14_CENSUS).value
         assert value == pytest.approx(4 * V_TET + 3 * V_OCT, abs=1e-12)
         assert value == pytest.approx(15.0513535557652, abs=1e-9)
         assert value >= 12.046092
 
     def test_log_octahedron(self):
-        assert face_census_log_bound(OCT_CENSUS) == pytest.approx(6.13068321371819, abs=1e-9)
+        assert face_census_log_expr(OCT_CENSUS).value == pytest.approx(6.13068321371819, abs=1e-9)
 
     def test_log_q14(self):
-        assert face_census_log_bound(Q14_CENSUS) == pytest.approx(19.1961997555398, abs=1e-9)
+        assert face_census_log_expr(Q14_CENSUS).value == pytest.approx(19.1961997555398, abs=1e-9)
 
     def test_rejects_non_four_regular(self):
         bad = SkeletonCensus(V=4, E=6, F=4, degree_counts={3: 4}, face_counts={3: 4})
         with pytest.raises(ValueError):
-            face_census_bound(bad)
+            face_census_expr(bad)
         with pytest.raises(ValueError):
-            face_census_log_bound(bad)
+            face_census_log_expr(bad)
 
 
 class TestIrpTriangleBound:
     def test_octahedron(self):
-        assert irp_triangle_bound(6, 8) == pytest.approx(4 * V_TET, abs=1e-12)
+        assert irp_triangle_expr(6, 8).value == pytest.approx(4 * V_TET, abs=1e-12)
 
     def test_large(self):
-        assert irp_triangle_bound(26, 8) == pytest.approx(42.1200766660006, abs=1e-9)
+        assert irp_triangle_expr(26, 8).value == pytest.approx(42.1200766660006, abs=1e-9)
 
     def test_p3_floor(self):
         with pytest.raises(ValueError):
-            irp_triangle_bound(10, 7)
+            irp_triangle_expr(10, 7)
 
 
 class TestTriangleTrivalentBound:
     def test_tetrahedron_value(self):
-        assert triangle_trivalent_bound(6, 4, 4) == pytest.approx(4 * V_TET, abs=1e-12)
+        assert triangle_trivalent_expr(6, 4, 4).value == pytest.approx(4 * V_TET, abs=1e-12)
 
     def test_pyramid_closed_form(self):
         for n in range(4, 15):
@@ -168,26 +166,28 @@ class TestTriangleTrivalentBound:
 
     def test_inconsistent_counts(self):
         with pytest.raises(ValueError):
-            triangle_trivalent_bound(6, 5, 0)
+            triangle_trivalent_expr(6, 5, 0)
         with pytest.raises(ValueError):
-            triangle_trivalent_bound(6, 0, 5)
+            triangle_trivalent_expr(6, 0, 5)
         with pytest.raises(ValueError):
-            triangle_trivalent_bound(7, 0, 0, all_trivalent=True)
+            triangle_trivalent_expr(7, 0, 0, all_trivalent=True)
 
 
 class TestPrismBounds:
     def test_values(self):
-        assert prism_atkinson_bound(4) == pytest.approx(4 * V_OCT, abs=1e-12)
-        assert prism_atkinson_bound(3) == pytest.approx(2.5 * V_OCT, abs=1e-12)
+        assert prism_atkinson_expr(4).value == pytest.approx(4 * V_OCT, abs=1e-12)
+        assert prism_atkinson_expr(3).value == pytest.approx(2.5 * V_OCT, abs=1e-12)
         with pytest.raises(ValueError):
-            prism_atkinson_bound(2)
+            prism_atkinson_expr(2)
 
     def test_crossover_at_eight(self):
         # 5 v_tet n - 4 v_tet beats (3/2) v_oct n - 2 v_oct exactly from n = 8
         for n in range(3, 8):
-            assert triangle_trivalent_bound(3 * n, 0, 0, True) >= prism_atkinson_bound(n)
+            trivalent = triangle_trivalent_expr(3 * n, 0, 0, True).value
+            assert trivalent >= prism_atkinson_expr(n).value
         for n in range(8, 40):
-            assert triangle_trivalent_bound(3 * n, 0, 0, True) < prism_atkinson_bound(n)
+            trivalent = triangle_trivalent_expr(3 * n, 0, 0, True).value
+            assert trivalent < prism_atkinson_expr(n).value
 
     def test_crossover_constant(self):
         crossover = (2 * V_OCT - 4 * V_TET) / (1.5 * V_OCT - 5 * V_TET)
@@ -202,10 +202,10 @@ class TestThresholdCharacterization:
         r2 = 6 * (3 * V_OCT - 4 * V_TET) / (3 * V_OCT - 10 * V_TET)
         for e in range(25, 80, 3):
             for p3 in range(0, 2 * e // 3, 2):
-                trivalent = triangle_trivalent_bound(e, 2 * e // 3, p3, False)
+                trivalent = triangle_trivalent_expr(e, 2 * e // 3, p3, False).value
                 if (2 * e) % 3 == 0:
-                    trivalent = triangle_trivalent_bound(e, 0, p3, True)
-                    edge = thm_edge_bound(e, False)
+                    trivalent = triangle_trivalent_expr(e, 0, p3, True).value
+                    edge = thm_edge_expr(e, False).value
                     assert (trivalent < edge) == (e + r1 * p3 > r2)
 
 

@@ -13,6 +13,8 @@ from reference_values import (
     PRISM_CROSSOVER,
     THRESHOLD_P3_COEFFICIENT,
     THRESHOLD_RHS,
+    V_OCT_EXACT,
+    V_TET_EXACT,
 )
 from volbounds.lobachevsky import V_OCT, V_TET
 
@@ -28,6 +30,8 @@ def test_references_match_mpmath_clausen():
         assert abs(vt - V_TET) < 1e-13
         assert abs(vo - V_OCT) < 1e-13
         forms = [
+            ("v_tet", vt, V_TET_EXACT),
+            ("v_oct", vo, V_OCT_EXACT),
             ("prism crossover", (2 * vo - 4 * vt) / (1.5 * vo - 5 * vt), PRISM_CROSSOVER),
             ("threshold p3 coefficient", 3 * vt / (3 * vo - 10 * vt), THRESHOLD_P3_COEFFICIENT),
             ("threshold rhs", 6 * (3 * vo - 4 * vt) / (3 * vo - 10 * vt), THRESHOLD_RHS),
