@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 __all__ = [
     "lobachevsky",
     "lobachevsky_quadrature",
@@ -110,7 +108,11 @@ def lobachevsky_quadrature(theta: float) -> float:
 
     leaving a bounded integrand for the adaptive rule.  Kept deliberately
     separate from :func:`lobachevsky` so the two can oracle-check each other.
+    scipy is imported here, on first use, so that importing the library and
+    running the CLI do not pay for it.
     """
+    from scipy.integrate import quad
+
     if not math.isfinite(theta):
         raise ValueError("lobachevsky_quadrature: theta must be finite")
     # periodicity only; the integral runs over [0, x) with x in [0, pi)

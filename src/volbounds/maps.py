@@ -26,6 +26,7 @@ __all__ = [
     "vertex_orbits",
     "face_orbits",
     "medial",
+    "medial_census",
     "dual",
     "maps_isomorphic",
     "is_three_connected",
@@ -201,13 +202,27 @@ def validate_map(m: CombinatorialMap) -> SkeletonCensus:
     )
 
 
-def _require_polyhedral(m: CombinatorialMap) -> SkeletonCensus:
-    c = validate_map(m)
+def _require_polyhedral(c: SkeletonCensus) -> None:
     if c.min_degree < 3:
         raise MapError("degree", f"polyhedral map needs min degree 3, got {c.min_degree}")
     if c.min_face_size < 3:
         raise MapError("face-size", f"polyhedral map needs min face size 3, got {c.min_face_size}")
-    return c
+
+
+def medial_census(c: SkeletonCensus) -> SkeletonCensus:
+    """Census of ``medial(m)`` from the census ``c`` of ``m``, without building it.
+
+    Raises the :class:`MapError` that :func:`medial` raises for ``m``
+    (``degree``, then ``face-size``).
+    """
+    _require_polyhedral(c)
+    return SkeletonCensus(
+        V=c.E,
+        E=2 * c.E,
+        F=c.V + c.F,
+        degree_counts={4: c.E},
+        face_counts=dict(Counter(c.degree_counts) + Counter(c.face_counts)),
+    )
 
 
 def medial(m: CombinatorialMap) -> CombinatorialMap:
@@ -218,7 +233,7 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
     E_med = 2E, F_med = V + F, with a k-gonal medial face for every
     degree-k vertex and every k-gonal face of the input.
     """
-    _require_polyhedral(m)
+    _require_polyhedral(validate_map(m))
     n = m.dart_count
     sigma_inv = [0] * n
     for d in range(n):
@@ -278,46 +293,92 @@ def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     return False
 
 
-def _underlying_adjacency(m: CombinatorialMap) -> list[set[int]]:
-    verts = vertex_orbits(m)
-    vertex_of = {}
-    for i, cyc in enumerate(verts):
-        for d in cyc:
-            vertex_of[d] = i
-    adj = [set() for _ in verts]
-    for d in range(m.dart_count):
-        u, w = vertex_of[d], vertex_of[m.alpha[d]]
-        if u != w:
-            adj[u].add(w)
-            adj[w].add(u)
-    return adj
-
-
 def is_three_connected(m: CombinatorialMap) -> bool:
-    """Brute-force 3-connectivity of the underlying simple graph."""
+    """3-connectivity of the underlying simple graph, from its faces.
+
+    Loops are dropped and each class of parallel edges keeps one edge; both
+    deletions keep the embedding planar.  For a planar map with V >= 4 the
+    simple graph is 3-connected iff every face is bounded by a simple cycle
+    and any two faces meet in nothing, one vertex or one edge (the
+    polyhedral-embedding criterion; Mohar and Thomassen, *Graphs on
+    Surfaces*, 2001).  Two faces that share two vertices, or two vertices on
+    two faces, form a 4-cycle of the vertex-face incidence graph; the
+    criterion asks that every such 4-cycle be the one around an edge.  The
+    4-cycles are listed from their highest-degree node (Chiba and Nishizeki,
+    1985), so the cost is O(N log N) on N darts, the log for one sort.
+    """
     census = validate_map(m)
     if census.V < 4:
         raise ValueError("is_three_connected: need at least 4 vertices")
-    adj = _underlying_adjacency(m)
-    nv = len(adj)
+    n = m.dart_count
+    verts = vertex_orbits(m)
+    vertex_of = [0] * n
+    for i, cyc in enumerate(verts):
+        for d in cyc:
+            vertex_of[d] = i
 
-    def connected_without(removed: set[int]) -> bool:
-        remaining = [v for v in range(nv) if v not in removed]
-        if not remaining:
+    # rotation of the underlying simple graph on the kept darts
+    kept = [False] * n
+    simple_edges = set()
+    for d in range(n):
+        u, w = vertex_of[d], vertex_of[m.alpha[d]]
+        if u != w and (min(u, w), max(u, w)) not in simple_edges:
+            simple_edges.add((min(u, w), max(u, w)))
+            kept[d] = kept[m.alpha[d]] = True
+    sigma = [-1] * n
+    for cyc in verts:
+        ring = [d for d in cyc if kept[d]]
+        for i, d in enumerate(ring):
+            sigma[d] = ring[(i + 1) % len(ring)]
+
+    # faces of the simple graph; each must visit distinct vertices.  The
+    # incidence graph has nodes 0..V-1 for the vertices and V.. for the faces.
+    face_of = [-1] * n
+    incidence: list[list[int]] = [[] for _ in range(census.V)]
+    for start in range(n):
+        if not kept[start] or face_of[start] != -1:
+            continue
+        f = len(incidence)
+        incidence.append([])
+        d = start
+        while face_of[d] == -1:
+            face_of[d] = f
+            incidence[vertex_of[d]].append(f)
+            incidence[f].append(vertex_of[d])
+            d = sigma[m.alpha[d]]
+        if len(set(incidence[f])) != len(incidence[f]):
             return False
-        seen = {remaining[0]}
-        stack = [remaining[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in removed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(remaining)
 
-    for u in range(nv):
-        for w in range(u + 1, nv):
-            if not connected_without({u, w}):
+    # (vertex pair, face pair) of every edge: its ends and its two sides
+    edge_quads = set()
+    for d in range(n):
+        if kept[d]:
+            u, w = vertex_of[d], vertex_of[m.alpha[d]]
+            f, g = face_of[d], face_of[m.alpha[d]]
+            edge_quads.add((min(u, w), max(u, w), min(f, g), max(f, g)))
+
+    # a 4-cycle x-y-z-y' is found from x, its first node in degree order;
+    # y, y' and z all come later
+    rank = [0] * len(incidence)
+    order = sorted(range(len(incidence)), key=lambda x: -len(incidence[x]))
+    for i, x in enumerate(order):
+        rank[x] = i
+    for x in order:
+        middles: dict[int, list[int]] = {}
+        for y in incidence[x]:
+            if rank[y] > rank[x]:
+                for z in incidence[y]:
+                    if rank[z] > rank[x]:
+                        middles.setdefault(z, []).append(y)
+        for z, ys in middles.items():
+            if len(ys) < 2:
+                continue
+            if len(ys) > 2:
+                return False
+            pair = (min(x, z), max(x, z))
+            others = (min(ys), max(ys))
+            quad = pair + others if x < census.V else others + pair
+            if quad not in edge_quads:
                 return False
     return True
 

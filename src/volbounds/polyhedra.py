@@ -21,7 +21,7 @@ from .maps import (
     CombinatorialMap,
     SkeletonCensus,
     is_three_connected,
-    medial,
+    medial_census,
     validate_map,
 )
 
@@ -168,7 +168,7 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
         raise ValueError("rectification_bounds: need at least 4 vertices")
     if not is_three_connected(m):
         raise ValueError("rectification_bounds: skeleton must be 3-connected")
-    med_census = validate_map(medial(m))
+    med_census = medial_census(census)
     lower, upper = irp_bounds_expr(med_census.V)
 
     rows = [

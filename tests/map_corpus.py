@@ -1,0 +1,234 @@
+"""The brute-force 3-connectivity oracle and the map surgery the tests use.
+
+``brute_force_three_connected`` is the library's former implementation: it
+removes every pair of vertices of the underlying simple graph in turn and
+checks that the rest stays connected, O(V^2 E).  It shares no code with the
+face-incidence test in ``volbounds.maps.is_three_connected``.
+
+``three_connectivity_corpus`` builds the differential corpus: polyhedra
+(3-connected), and maps made from them that are not, or that are only as
+simple graphs (loops and parallel edges added).
+"""
+
+from __future__ import annotations
+
+import random
+
+from volbounds.maps import (
+    CombinatorialMap,
+    MapError,
+    antiprism,
+    bipyramid,
+    cube,
+    dual,
+    face_orbits,
+    map_from_face_cycles,
+    medial,
+    octahedron,
+    prism,
+    pyramid,
+    tetrahedron,
+    two_apex_pyramid,
+    twisted_antiprism,
+    validate_map,
+    vertex_orbits,
+)
+from volbounds.twists import continued_fraction_value, two_bridge_diagram
+
+
+def _vertex_of(m: CombinatorialMap) -> list[int]:
+    vertex_of = [0] * m.dart_count
+    for i, cyc in enumerate(vertex_orbits(m)):
+        for d in cyc:
+            vertex_of[d] = i
+    return vertex_of
+
+
+def brute_force_three_connected(m: CombinatorialMap) -> bool:
+    """3-connectivity of the underlying simple graph by removing every vertex pair."""
+    census = validate_map(m)
+    if census.V < 4:
+        raise ValueError("brute_force_three_connected: need at least 4 vertices")
+    vertex_of = _vertex_of(m)
+    adj = [set() for _ in range(census.V)]
+    for d in range(m.dart_count):
+        u, w = vertex_of[d], vertex_of[m.alpha[d]]
+        if u != w:
+            adj[u].add(w)
+            adj[w].add(u)
+    nv = len(adj)
+
+    def connected_without(removed: set[int]) -> bool:
+        remaining = [v for v in range(nv) if v not in removed]
+        seen = {remaining[0]}
+        stack = [remaining[0]]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in removed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(remaining)
+
+    return all(connected_without({u, w}) for u in range(nv) for w in range(u + 1, nv))
+
+
+# ---------------------------------------------------------------------------
+# Surgery on dart maps.  Each result is returned unvalidated.
+# ---------------------------------------------------------------------------
+
+
+def delete_edge(m: CombinatorialMap, d: int) -> CombinatorialMap:
+    """Remove the edge of dart d, merging the faces on its two sides."""
+    gone = {d, m.alpha[d]}
+    keep = [x for x in range(m.dart_count) if x not in gone]
+    index = {x: i for i, x in enumerate(keep)}
+
+    def next_kept(x: int) -> int:
+        y = m.sigma[x]
+        while y in gone:
+            y = m.sigma[y]
+        return y
+
+    return CombinatorialMap(
+        tuple(index[m.alpha[x]] for x in keep), tuple(index[next_kept(x)] for x in keep)
+    )
+
+
+def double_edge(m: CombinatorialMap, d: int) -> CombinatorialMap:
+    """Add a parallel copy of the edge of dart d; the two bound a new 2-gon."""
+    n = m.dart_count
+    a, b = n, n + 1  # a follows d at its vertex, b precedes alpha(d) at the other end
+    sigma = list(m.sigma) + [m.sigma[d], m.alpha[d]]
+    sigma[d] = a
+    sigma[sigma.index(m.alpha[d])] = b
+    return CombinatorialMap(m.alpha + (b, a), tuple(sigma))
+
+
+def add_loop(m: CombinatorialMap, d: int) -> CombinatorialMap:
+    """Add a loop in the corner after dart d; it bounds a new 1-gon."""
+    n = m.dart_count
+    sigma = list(m.sigma) + [n + 1, m.sigma[d]]
+    sigma[d] = n
+    return CombinatorialMap(m.alpha + (n + 1, n), tuple(sigma))
+
+
+def face_cycles(m: CombinatorialMap) -> list[list[int]]:
+    """Vertex sequence of every face of a simple map."""
+    vertex_of = _vertex_of(m)
+    return [[vertex_of[d] for d in face] for face in face_orbits(m)]
+
+
+def glue_along_edge(
+    faces1: list[list[int]], faces2: list[list[int]], rng: random.Random
+) -> CombinatorialMap:
+    """Glue two polyhedra along an edge: its two ends are a 2-vertex cut.
+
+    One face of each loses the shared edge and the two merge into one face.
+    """
+    f1 = rng.randrange(len(faces1))
+    k1 = rng.randrange(len(faces1[f1]))
+    u, w = faces1[f1][k1], faces1[f1][(k1 + 1) % len(faces1[f1])]
+    f2 = rng.randrange(len(faces2))
+    k2 = rng.randrange(len(faces2[f2]))
+    u2, w2 = faces2[f2][k2], faces2[f2][(k2 + 1) % len(faces2[f2])]
+    offset = 1 + max(v for face in faces1 for v in face)
+    relabel = {u2: w, w2: u}  # the second face runs the edge the other way
+    for face in faces2:
+        for v in face:
+            relabel.setdefault(v, offset + v)
+    faces2 = [[relabel[v] for v in face] for face in faces2]
+
+    def path_from(cycle: list[int], start: int) -> list[int]:
+        k = cycle.index(start)
+        return cycle[k:] + cycle[:k]
+
+    # faces1[f1] runs u -> w; the merged face is w ... u, then u ... w in the other
+    first = path_from(faces1[f1], w)
+    second = path_from(faces2[f2], u)
+    merged = first + second[1:-1]
+    rest = [f for k, f in enumerate(faces1) if k != f1] + [
+        f for k, f in enumerate(faces2) if k != f2
+    ]
+    return map_from_face_cycles(rest + [merged])
+
+
+# ---------------------------------------------------------------------------
+# The differential corpus
+# ---------------------------------------------------------------------------
+
+
+def polyhedra() -> list[CombinatorialMap]:
+    """Family members up to n = 9, their duals and their medials."""
+    members = [tetrahedron(), cube(), octahedron()]
+    for build in (pyramid, bipyramid, prism, antiprism):
+        members += [build(n) for n in range(3, 10)]
+    for build in (two_apex_pyramid, twisted_antiprism):
+        members += [build(n) for n in range(4, 10)]
+    return members + [dual(m) for m in members] + [medial(m) for m in members]
+
+
+def two_bridge_maps(rng: random.Random, count: int) -> list[CombinatorialMap]:
+    """Diagram maps of random two-bridge links (4-regular, with parallel edges)."""
+    out = []
+    while len(out) < count:
+        t = rng.randint(2, 7)
+        digits = [rng.randint(1, 4) for _ in range(t - 1)] + [rng.randint(2, 4)]
+        value = continued_fraction_value(digits)
+        m = two_bridge_diagram(value.numerator, value.denominator).map
+        if validate_map(m).V >= 4:
+            out.append(m)
+    return out
+
+
+def _valid_with_four_vertices(m: CombinatorialMap) -> bool:
+    try:
+        return validate_map(m).V >= 4
+    except MapError:
+        return False
+
+
+def three_connectivity_corpus() -> dict[str, list[CombinatorialMap]]:
+    """Maps that ``validate_map`` accepts, V >= 4, grouped by how they were made."""
+    rng = random.Random(2001)
+    base = polyhedra()
+    small = [m for m in base if validate_map(m).V <= 12]
+    corpus = {"polyhedra": base}
+
+    corpus["glued along an edge"] = [
+        glue_along_edge(face_cycles(rng.choice(small)), face_cycles(rng.choice(small)), rng)
+        for _ in range(150)
+    ]
+
+    merged = []
+    for m in base:
+        for _ in range(2):
+            out = delete_edge(m, rng.randrange(m.dart_count))
+            if _valid_with_four_vertices(out):
+                merged.append(out)
+    corpus["faces merged across an edge"] = merged
+
+    deleted = []
+    for m in base:
+        out = m
+        for _ in range(rng.randint(2, 6)):
+            trial = delete_edge(out, rng.randrange(out.dart_count))
+            if _valid_with_four_vertices(trial):
+                out = trial
+        if out is not m:
+            deleted.append(out)
+    corpus["random edge deletions"] = deleted
+
+    diagrams = two_bridge_maps(rng, 120)
+    corpus["two-bridge diagrams"] = diagrams
+    corpus["two-bridge duals"] = [dual(m) for m in diagrams]
+
+    multi = []
+    for m in base + corpus["glued along an edge"][:40]:
+        out = m
+        for _ in range(rng.randint(1, 3)):
+            surgery = rng.choice((double_edge, add_loop))
+            out = surgery(out, rng.randrange(out.dart_count))
+        multi.append(out)
+    corpus["loops and parallel edges added"] = multi
+    return corpus

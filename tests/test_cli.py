@@ -234,6 +234,22 @@ def test_unknown_subcommand():
     assert code == 2
 
 
+def _src_env() -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the quadrature oracle; the CLI must not pay its import
+    code = "import sys, volbounds.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_closed_stdout_exits_one_quietly():
     # b/a = [1; 1, ..., 1, 2] with 8000 twists: about 250 kB of JSON, far
     # more than a pipe buffer holds, so the writer is still writing when the
@@ -241,15 +257,12 @@ def test_closed_stdout_exits_one_quietly():
     a, b = 1, 2
     for _ in range(7998):
         a, b = b, a + b
-    src = Path(__file__).resolve().parents[1] / "src"
-    paths = [str(src), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "volbounds.cli", "--format", "json",
          "link", "augment", "--fraction", f"{b}/{a}"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_src_env(),
     )
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_values import V_OCT_EXACT, V_TET_EXACT
 
 from volbounds.lobachevsky import (
     V_OCT,
@@ -43,8 +44,8 @@ def test_golden_values():
 
 
 def test_constants():
-    assert v_tet() == pytest.approx(1.014941, abs=1e-6)
-    assert v_oct() == pytest.approx(3.663863, abs=1e-6)
+    assert v_tet() == pytest.approx(V_TET_EXACT, abs=1e-9)
+    assert v_oct() == pytest.approx(V_OCT_EXACT, abs=1e-9)
     assert V_TET == v_tet()
     assert V_OCT == v_oct()
     assert V_OCT / 8 == pytest.approx(lobachevsky(PI / 4), abs=1e-15)

@@ -3,6 +3,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from map_corpus import (
+    brute_force_three_connected,
+    delete_edge,
+    double_edge,
+    three_connectivity_corpus,
+)
 
 from volbounds.maps import (
     CombinatorialMap,
@@ -18,6 +24,7 @@ from volbounds.maps import (
     map_to_dict,
     maps_isomorphic,
     medial,
+    medial_census,
     octahedron,
     prism,
     pyramid,
@@ -164,6 +171,28 @@ class TestMedial:
             expected[k] = expected.get(k, 0) + v
         assert mc.face_counts == expected
 
+    @pytest.mark.parametrize(
+        "build,low", [(pyramid, 3), (bipyramid, 3), (prism, 3), (antiprism, 3),
+                      (two_apex_pyramid, 4), (twisted_antiprism, 4)]
+    )
+    def test_census_without_building(self, build, low):
+        for n in range(low, 31):
+            for m in (build(n), dual(build(n))):
+                assert medial_census(validate_map(m)) == validate_map(medial(m))
+
+    @pytest.mark.parametrize(
+        "m,violation",
+        [
+            (double_edge(tetrahedron(), 0), "face-size"),
+            (delete_edge(prism(5), 0), "degree"),
+        ],
+    )
+    def test_census_refuses_what_medial_refuses(self, m, violation):
+        for derive in (medial, lambda m: medial_census(validate_map(m))):
+            with pytest.raises(MapError) as err:
+                derive(m)
+            assert err.value.violation == violation
+
     @pytest.mark.parametrize("name,m", ALL_BUILDERS)
     def test_irp_triangle_identity(self, name, m):
         mc = validate_map(medial(m))
@@ -224,6 +253,9 @@ class TestIsomorphism:
         assert maps_isomorphic(m, m)
 
 
+CONNECTIVITY = three_connectivity_corpus()
+
+
 class TestThreeConnectivity:
     def test_book_graph_not_three_connected(self):
         # two triangles glued along an edge
@@ -236,6 +268,20 @@ class TestThreeConnectivity:
         tri = map_from_face_cycles([[0, 1, 2], [2, 1, 0]])
         with pytest.raises(ValueError):
             is_three_connected(tri)
+
+    def test_corpus_is_large_and_rich_in_negatives(self):
+        answers = [brute_force_three_connected(m) for ms in CONNECTIVITY.values() for m in ms]
+        assert len(answers) >= 1000
+        assert answers.count(False) >= 0.3 * len(answers)
+
+    @pytest.mark.parametrize("kind", sorted(CONNECTIVITY))
+    def test_agrees_with_brute_force(self, kind):
+        disagreements = [
+            i
+            for i, m in enumerate(CONNECTIVITY[kind])
+            if is_three_connected(m) != brute_force_three_connected(m)
+        ]
+        assert disagreements == []
 
 
 class TestFileFormat:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from map_corpus import delete_edge, double_edge
 
 from volbounds.lobachevsky import (
     V_OCT,
@@ -10,6 +11,7 @@ from volbounds.lobachevsky import (
     twisted_antiprism_volume,
 )
 from volbounds.maps import (
+    MapError,
     SkeletonCensus,
     cube,
     prism,
@@ -253,3 +255,16 @@ class TestRectificationBounds:
 
     def test_antiprism_asymptotics(self):
         assert abs(antiprism_volume(1000) / 1000 - V_OCT / 2) < 1e-2
+
+    def test_doubled_edge_refused_by_face_size(self):
+        # 3-connected as a simple graph, but the doubled edge bounds a 2-gon
+        with pytest.raises(MapError) as err:
+            rectification_bounds(double_edge(tetrahedron(), 0))
+        assert err.value.violation == "face-size"
+
+    def test_merged_faces_refused_as_not_three_connected(self):
+        # merging two faces of a prism leaves two degree-2 vertices; the
+        # 3-connectivity check comes before the degree check
+        with pytest.raises(ValueError, match="must be 3-connected") as err:
+            rectification_bounds(delete_edge(prism(5), 0))
+        assert not isinstance(err.value, MapError)
