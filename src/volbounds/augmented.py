@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .maps import CombinatorialMap, face_orbits, map_to_dict, validate_map, vertex_orbits
+from .maps import CombinatorialMap, MapError, face_orbits, map_to_dict, vertex_orbits
 from .twists import TwistReducedDiagram
 
 __all__ = [
@@ -129,11 +129,11 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
 
         set_cycle(half(x) + half(y))
 
-    poly = CombinatorialMap(tuple(alpha_p), tuple(sigma_p))
     try:
-        census = validate_map(poly)
-    except Exception as exc:
+        poly = CombinatorialMap(tuple(alpha_p), tuple(sigma_p))
+    except MapError as exc:
         raise AugmentError(f"construction-inconsistency: assembled map invalid ({exc})") from exc
+    census = poly.census
 
     if (census.V, census.E, census.F) != (3 * t, 6 * t, 3 * t + 2):
         raise AugmentError(

@@ -160,8 +160,7 @@ def _cmd_constants(args) -> int:
 
 
 def _poly_doc(m, description: str, family=None, n=None) -> dict:
-    census = maps.validate_map(m)
-    doc: dict = {"input": description, "census": _census_block(census)}
+    doc: dict = {"input": description, "census": _census_block(m.census)}
     bounds = polyhedra.rectification_bounds(m)
     if family in _FAMILY_BOUNDS:
         name, hypotheses, citation, volume = _FAMILY_BOUNDS[family]
@@ -184,9 +183,8 @@ def _cmd_poly_family(args) -> int:
     desc = args.name if not needs_n else f"{args.name}({args.n})"
     if args.out:
         maps.save_map(m, args.out)
-    if not args.bounds:
-        census = maps.validate_map(m)
-        _render({"input": desc, "census": _census_block(census)}, args.format)
+    if not (args.bounds or args.bound):
+        _render({"input": desc, "census": _census_block(m.census)}, args.format)
         return 0
     doc = _poly_doc(m, desc, family=args.name, n=args.n)
     return _report(doc, args)
@@ -203,8 +201,7 @@ def _cmd_poly_medial(args) -> int:
     med = maps.medial(m)
     if args.out:
         maps.save_map(med, args.out)
-    census = maps.validate_map(med)
-    _render({"input": f"medial of {args.file}", "census": _census_block(census)}, args.format)
+    _render({"input": f"medial of {args.file}", "census": _census_block(med.census)}, args.format)
     return 0
 
 
@@ -213,8 +210,7 @@ def _cmd_poly_dual(args) -> int:
     d = maps.dual(m)
     if args.out:
         maps.save_map(d, args.out)
-    census = maps.validate_map(d)
-    _render({"input": f"dual of {args.file}", "census": _census_block(census)}, args.format)
+    _render({"input": f"dual of {args.file}", "census": _census_block(d.census)}, args.format)
     return 0
 
 
@@ -317,10 +313,9 @@ def _cmd_link_augment(args) -> int:
         augmented.save_augmented(poly, args.out)
     if args.out_diagram:
         save_diagram(diagram, args.out_diagram)
-    census = maps.validate_map(poly.map)
     doc = {
         "input": desc,
-        "census": _census_block(census),
+        "census": _census_block(poly.map.census),
         "red_vertices": sorted(poly.red_vertices),
         "dark_faces": sorted(poly.dark_faces),
         "white_census": {str(k): v for k, v in sorted(poly.white_census.items())},

@@ -6,9 +6,11 @@ listing darts counterclockwise around each vertex).  Faces are the orbits of
 ``phi(d) = sigma[alpha[d]]``.  Genus 0 is required throughout:
 V - E + F = 2 with V = #orbits(sigma), E = N/2, F = #orbits(phi).
 
-Multigraphs are allowed at the map level (link-diagram graphs have parallel
-edges); polyhedral-skeleton checks are applied only where an operation needs
-them.
+Building a :class:`CombinatorialMap` checks these invariants once and stores
+the resulting census on the map as ``census``; a map that exists is valid,
+so no operation checks its input again.  Multigraphs are allowed at the map
+level (link-diagram graphs have parallel edges); polyhedral-skeleton checks
+are applied only where an operation needs them.
 """
 
 from __future__ import annotations
@@ -57,10 +59,21 @@ class MapError(ValueError):
 
 @dataclass(frozen=True)
 class CombinatorialMap:
-    """Immutable dart-based embedding: edge involution alpha, rotation sigma."""
+    """Immutable dart-based embedding: edge involution alpha, rotation sigma.
+
+    Construction checks every map invariant and raises :class:`MapError`
+    with violation ``length-mismatch``, ``not-a-permutation``,
+    ``fixed-dart``, ``not-involution``, ``disconnected`` or ``genus`` (in
+    that order of checking).  The census of a built map is ``census``; it
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
+    census: SkeletonCensus = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "census", _check_map(self.alpha, self.sigma))
 
     @property
     def dart_count(self) -> int:
@@ -151,26 +164,21 @@ def _check_permutation(name: str, perm: tuple[int, ...]) -> None:
         raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
 
 
-def validate_map(m: CombinatorialMap) -> SkeletonCensus:
-    """Verify all map invariants and return the census.
-
-    Raises :class:`MapError` with violation one of ``length-mismatch``,
-    ``not-a-permutation``, ``fixed-dart``, ``not-involution``,
-    ``disconnected``, ``genus``.
-    """
-    if len(m.alpha) != len(m.sigma):
+def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> SkeletonCensus:
+    """Verify all map invariants of ``(alpha, sigma)`` and return the census."""
+    if len(alpha) != len(sigma):
         raise MapError("length-mismatch", "alpha and sigma must have equal length")
-    n = m.dart_count
+    n = len(alpha)
     if n == 0:
         raise MapError("length-mismatch", "map must have at least one edge")
-    _check_permutation("alpha", m.alpha)
-    _check_permutation("sigma", m.sigma)
+    _check_permutation("alpha", alpha)
+    _check_permutation("sigma", sigma)
     if n % 2 != 0:
         raise MapError("not-involution", "odd dart count cannot pair into edges")
     for d in range(n):
-        if m.alpha[d] == d:
+        if alpha[d] == d:
             raise MapError("fixed-dart", f"alpha fixes dart {d}")
-        if m.alpha[m.alpha[d]] != d:
+        if alpha[alpha[d]] != d:
             raise MapError("not-involution", f"alpha^2 moves dart {d}")
 
     # connectivity of the group action of <alpha, sigma>
@@ -180,7 +188,7 @@ def validate_map(m: CombinatorialMap) -> SkeletonCensus:
     reached = 1
     while stack:
         d = stack.pop()
-        for nxt in (m.alpha[d], m.sigma[d]):
+        for nxt in (alpha[d], sigma[d]):
             if not seen[nxt]:
                 seen[nxt] = True
                 reached += 1
@@ -188,8 +196,8 @@ def validate_map(m: CombinatorialMap) -> SkeletonCensus:
     if reached != n:
         raise MapError("disconnected", f"only {reached} of {n} darts reachable")
 
-    verts = vertex_orbits(m)
-    faces = face_orbits(m)
+    verts = _orbits(sigma)
+    faces = _orbits(tuple(sigma[alpha[d]] for d in range(n)))
     v, e, f = len(verts), n // 2, len(faces)
     if v - e + f != 2:
         raise MapError("genus", f"V-E+F = {v - e + f} != 2 (not a sphere embedding)")
@@ -200,6 +208,15 @@ def validate_map(m: CombinatorialMap) -> SkeletonCensus:
         degree_counts=dict(Counter(len(c) for c in verts)),
         face_counts=dict(Counter(len(c) for c in faces)),
     )
+
+
+def validate_map(m: CombinatorialMap) -> SkeletonCensus:
+    """The census of ``m``, stored when ``m`` was built and checked.
+
+    Building the map is what raises :class:`MapError`; this call checks
+    nothing again.
+    """
+    return m.census
 
 
 def _require_polyhedral(c: SkeletonCensus) -> None:
@@ -233,7 +250,7 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
     E_med = 2E, F_med = V + F, with a k-gonal medial face for every
     degree-k vertex and every k-gonal face of the input.
     """
-    _require_polyhedral(validate_map(m))
+    _require_polyhedral(m.census)
     n = m.dart_count
     sigma_inv = [0] * n
     for d in range(n):
@@ -245,14 +262,11 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
         alpha_med[2 * d + 1] = 2 * d
         sigma_med[2 * d] = 2 * sigma_inv[d] + 1
         sigma_med[2 * d + 1] = 2 * m.alpha[m.sigma[d]]
-    out = CombinatorialMap(tuple(alpha_med), tuple(sigma_med))
-    validate_map(out)
-    return out
+    return CombinatorialMap(tuple(alpha_med), tuple(sigma_med))
 
 
 def dual(m: CombinatorialMap) -> CombinatorialMap:
     """Planar dual: vertices and faces swap; dual(dual(m)) == m on the nose."""
-    validate_map(m)
     phi = tuple(m.sigma[m.alpha[d]] for d in range(m.dart_count))
     return CombinatorialMap(m.alpha, phi)
 
@@ -263,8 +277,6 @@ def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     Anchors dart 0 of ``a`` on every dart of ``b`` (for sigma_b and its
     inverse) and propagates through alpha/sigma; O(darts^2) overall.
     """
-    validate_map(a)
-    validate_map(b)
     n = a.dart_count
     if n != b.dart_count:
         return False
@@ -307,7 +319,7 @@ def is_three_connected(m: CombinatorialMap) -> bool:
     4-cycles are listed from their highest-degree node (Chiba and Nishizeki,
     1985), so the cost is O(N log N) on N darts, the log for one sort.
     """
-    census = validate_map(m)
+    census = m.census
     if census.V < 4:
         raise ValueError("is_three_connected: need at least 4 vertices")
     n = m.dart_count
@@ -456,9 +468,7 @@ def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
             phi[d] = dart_id[(nu, nw)]
     # phi = sigma o alpha  =>  sigma = phi o alpha
     sigma = tuple(phi[alpha[d]] for d in range(n))
-    out = CombinatorialMap(tuple(alpha), sigma)
-    validate_map(out)
-    return out
+    return CombinatorialMap(tuple(alpha), sigma)
 
 
 def tetrahedron() -> CombinatorialMap:
@@ -585,18 +595,38 @@ def map_to_dict(m: CombinatorialMap) -> dict:
     return {"darts": m.dart_count, "alpha": list(m.alpha), "sigma": list(m.sigma)}
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_entries(data: dict, key: str, what: str) -> tuple[int, ...]:
+    """The list ``data[key]`` of a file object as a tuple of integers.
+
+    JSON ``true``, ``1.0`` and ``"1"`` are not integers: any such entry, a
+    missing key or a non-list value raises ``MapError("format")``.
+    """
+    try:
+        entries = tuple(data[key])
+    except (KeyError, TypeError) as exc:
+        raise MapError("format", f"bad {what} object: {exc}") from exc
+    for i, x in enumerate(entries):
+        if not _is_json_int(x):
+            raise MapError("format", f"bad {what} object: {key}[{i}] = {x!r} is not an integer")
+    return entries
+
+
 def map_from_dict(data: dict) -> CombinatorialMap:
     try:
         darts = data["darts"]
-        alpha = tuple(int(x) for x in data["alpha"])
-        sigma = tuple(int(x) for x in data["sigma"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MapError("format", f"bad map object: {exc}") from exc
+    if not _is_json_int(darts):
+        raise MapError("format", f"bad map object: darts = {darts!r} is not an integer")
+    alpha = _int_entries(data, "alpha", "map")
+    sigma = _int_entries(data, "sigma", "map")
     if len(alpha) != darts or len(sigma) != darts:
         raise MapError("length-mismatch", "darts field disagrees with array lengths")
-    m = CombinatorialMap(alpha, sigma)
-    validate_map(m)
-    return m
+    return CombinatorialMap(alpha, sigma)
 
 
 def load_map(path) -> CombinatorialMap:

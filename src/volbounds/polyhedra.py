@@ -22,7 +22,6 @@ from .maps import (
     SkeletonCensus,
     is_three_connected,
     medial_census,
-    validate_map,
 )
 
 __all__ = [
@@ -163,7 +162,7 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
     edge/triangle bounds apply to the skeleton directly.  The minimum upper
     bound is marked best, as is the (single) lower bound.
     """
-    census = validate_map(m)
+    census = m.census
     if census.V < 4:
         raise ValueError("rectification_bounds: need at least 4 vertices")
     if not is_three_connected(m):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .maps import CombinatorialMap, MapError, map_to_dict, validate_map
+from .maps import CombinatorialMap, MapError, _int_entries, map_to_dict
 
 __all__ = [
     "TwistDecomposition",
@@ -125,7 +125,7 @@ class TwistReducedDiagram:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        census = validate_map(self.map)
+        census = self.map.census
         if not census.is_four_regular():
             raise MapError("degree", "twist-reduced diagram must be 4-regular")
         if len(self.axis) != census.V or len(self.lengths) != census.V:
@@ -222,11 +222,8 @@ def diagram_from_dict(data: dict) -> TwistReducedDiagram:
     from .maps import map_from_dict
 
     m = map_from_dict(data)
-    try:
-        axis = tuple(int(x) for x in data["axis"])
-        lengths = tuple(int(x) for x in data["lengths"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MapError("format", f"bad diagram object: {exc}") from exc
+    axis = _int_entries(data, "axis", "diagram")
+    lengths = _int_entries(data, "lengths", "diagram")
     return TwistReducedDiagram(map=m, axis=axis, lengths=lengths)
 
 

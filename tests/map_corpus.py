@@ -74,7 +74,8 @@ def brute_force_three_connected(m: CombinatorialMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Surgery on dart maps.  Each result is returned unvalidated.
+# Surgery on dart maps.  Building the result checks it: an invalid one
+# (delete_edge on a bridge) raises MapError.
 # ---------------------------------------------------------------------------
 
 
@@ -181,15 +182,17 @@ def two_bridge_maps(rng: random.Random, count: int) -> list[CombinatorialMap]:
     return out
 
 
-def _valid_with_four_vertices(m: CombinatorialMap) -> bool:
+def _deleted_if_valid(m: CombinatorialMap, d: int) -> CombinatorialMap | None:
+    """``delete_edge(m, d)`` if that is a valid map with V >= 4, else None."""
     try:
-        return validate_map(m).V >= 4
+        out = delete_edge(m, d)
     except MapError:
-        return False
+        return None
+    return out if out.census.V >= 4 else None
 
 
 def three_connectivity_corpus() -> dict[str, list[CombinatorialMap]]:
-    """Maps that ``validate_map`` accepts, V >= 4, grouped by how they were made."""
+    """Valid maps with V >= 4, grouped by how they were made."""
     rng = random.Random(2001)
     base = polyhedra()
     small = [m for m in base if validate_map(m).V <= 12]
@@ -203,8 +206,8 @@ def three_connectivity_corpus() -> dict[str, list[CombinatorialMap]]:
     merged = []
     for m in base:
         for _ in range(2):
-            out = delete_edge(m, rng.randrange(m.dart_count))
-            if _valid_with_four_vertices(out):
+            out = _deleted_if_valid(m, rng.randrange(m.dart_count))
+            if out is not None:
                 merged.append(out)
     corpus["faces merged across an edge"] = merged
 
@@ -212,8 +215,8 @@ def three_connectivity_corpus() -> dict[str, list[CombinatorialMap]]:
     for m in base:
         out = m
         for _ in range(rng.randint(2, 6)):
-            trial = delete_edge(out, rng.randrange(out.dart_count))
-            if _valid_with_four_vertices(trial):
+            trial = _deleted_if_valid(out, rng.randrange(out.dart_count))
+            if trial is not None:
                 out = trial
         if out is not m:
             deleted.append(out)

@@ -50,6 +50,18 @@ class TestPolyFamily:
         code, _, err = invoke(["poly", "family", "--name", "prism", "--bounds"])
         assert code == 2
 
+    def test_bound_implies_the_report(self):
+        prism5 = ["poly", "family", "--name", "prism", "--n", "5"]
+        code, out, _ = invoke(prism5 + ["--bound", "edge-bound"])
+        assert (code, out) == (0, "18.319312\n")
+        assert invoke(prism5 + ["--bounds", "--bound", "edge-bound"]) == (code, out, "")
+        code, _, err = invoke(prism5 + ["--bound", "no-such-bound"])
+        assert code == 2 and "unknown bound name" in err
+        # the pyramid apex has degree 5, outside Atkinson's {3, 4}
+        pyramid5 = ["poly", "family", "--name", "pyramid", "--n", "5"]
+        code, _, err = invoke(pyramid5 + ["--bound", "atkinson-mixed"])
+        assert code == 3 and "not applicable" in err
+
     def test_json_format(self):
         code, out, _ = invoke(
             ["--format", "json", "poly", "family", "--name", "cube", "--bounds"]

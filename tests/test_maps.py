@@ -10,6 +10,8 @@ from map_corpus import (
     three_connectivity_corpus,
 )
 
+import volbounds.maps as maps_module
+from volbounds.augmented import augment
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
@@ -34,6 +36,7 @@ from volbounds.maps import (
     validate_map,
     vertex_orbits,
 )
+from volbounds.polyhedra import rectification_bounds
 from volbounds.twists import continued_fraction_value, two_bridge_diagram
 
 ALL_BUILDERS = [
@@ -69,15 +72,13 @@ class TestValidation:
         assert census.face_counts == {3: 4}
 
     def test_fixed_dart(self):
-        bad = CombinatorialMap((0, 1), (1, 0))
         with pytest.raises(MapError) as err:
-            validate_map(bad)
+            CombinatorialMap((0, 1), (1, 0))
         assert err.value.violation == "fixed-dart"
 
     def test_not_involution(self):
-        bad = CombinatorialMap((1, 2, 0, 4, 5, 3), (1, 2, 0, 4, 5, 3))
         with pytest.raises(MapError) as err:
-            validate_map(bad)
+            CombinatorialMap((1, 2, 0, 4, 5, 3), (1, 2, 0, 4, 5, 3))
         assert err.value.violation == "not-involution"
 
     def test_disconnected(self):
@@ -88,20 +89,66 @@ class TestValidation:
         sigma = tuple([tri_sigma[i] for i in range(6)]) + tuple(d + 6 for d in tri_sigma)
         # make each triangle actually valid on its own darts
         with pytest.raises(MapError) as err:
-            validate_map(CombinatorialMap(alpha, sigma))
+            CombinatorialMap(alpha, sigma)
         assert err.value.violation == "disconnected"
 
     def test_genus(self):
         # one vertex, two edges, one face: the torus
-        bad = CombinatorialMap((1, 0, 3, 2), (2, 3, 1, 0))
         with pytest.raises(MapError) as err:
-            validate_map(bad)
+            CombinatorialMap((1, 0, 3, 2), (2, 3, 1, 0))
         assert err.value.violation == "genus"
 
     def test_length_mismatch(self):
         with pytest.raises(MapError) as err:
-            validate_map(CombinatorialMap((1, 0), (0,)))
+            CombinatorialMap((1, 0), (0,))
         assert err.value.violation == "length-mismatch"
+
+
+class TestCheckedOnce:
+    """A map is checked when it is built; nothing checks a built map again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = maps_module._check_map
+
+        def counted(alpha, sigma):
+            calls.append(len(alpha))
+            return check(alpha, sigma)
+
+        monkeypatch.setattr(maps_module, "_check_map", counted)
+        return calls
+
+    def test_built_map_is_not_checked_again(self, checks):
+        m = prism(6)
+        assert len(checks) == 1
+        checks.clear()
+        validate_map(m)
+        is_three_connected(m)
+        rectification_bounds(m)
+        maps_isomorphic(m, m)
+        assert checks == []
+
+    def test_constructions_check_their_output_once(self, checks):
+        m = prism(6)
+        diagram = two_bridge_diagram(55, 17)
+        for build, darts in (
+            (lambda: medial(m), 2 * m.dart_count),
+            (lambda: dual(m), m.dart_count),
+            (lambda: augment(diagram), 3 * diagram.map.dart_count),
+        ):
+            checks.clear()
+            build()
+            assert checks == [darts]
+
+    def test_census_is_not_part_of_the_value(self):
+        m = antiprism(5)
+        assert dual(dual(m)) == m
+        twin = CombinatorialMap(m.alpha, m.sigma)
+        object.__setattr__(twin, "census", None)
+        assert twin == m
+        assert hash(m) == hash(twin) == hash((m.alpha, m.sigma))
+        assert repr(m) == repr(twin) == f"CombinatorialMap(alpha={m.alpha!r}, sigma={m.sigma!r})"
 
 
 class TestBuilders:
@@ -296,6 +343,24 @@ class TestFileFormat:
         with pytest.raises(MapError) as err:
             map_from_dict({"darts": 4, "alpha": [1, 0], "sigma": [1, 0]})
         assert err.value.violation == "length-mismatch"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("alpha", [1.9, 0]),
+            ("alpha", [True, False]),
+            ("sigma", ["0", "1"]),
+            ("sigma", [0.0, 1]),
+            ("darts", 2.0),
+            ("darts", True),
+        ],
+    )
+    def test_non_integer_entries_are_a_format_error(self, field, value):
+        data = {"darts": 2, "alpha": [1, 0], "sigma": [0, 1]}
+        data[field] = value
+        with pytest.raises(MapError) as err:
+            map_from_dict(data)
+        assert err.value.violation == "format"
 
     def test_error_carries_violation_name(self):
         data = map_to_dict(tetrahedron())

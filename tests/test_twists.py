@@ -144,3 +144,20 @@ class TestDiagramFiles:
         del data["axis"]
         with pytest.raises(MapError):
             diagram_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lengths", [2.7, 2.2]),
+            ("lengths", [2.0, 2]),
+            ("lengths", ["2", "2"]),
+            ("axis", [1.0, 0.9]),
+            ("axis", [True, True]),
+        ],
+    )
+    def test_non_integer_entries_are_a_format_error(self, field, value):
+        data = diagram_to_dict(two_bridge_diagram(5, 2))
+        data[field] = value
+        with pytest.raises(MapError) as err:
+            diagram_from_dict(data)
+        assert err.value.violation == "format"
