@@ -2,9 +2,9 @@
 
 Library layout:
 
-* :mod:`volbounds.lobachevsky` -- the Lobachevsky function, exact family
-  volumes (bipyramids, antiprisms), exact constant combinations, and the
-  :class:`Bound` row shared by the polyhedron and link reports.
+* :mod:`volbounds.lobachevsky` -- the Lobachevsky function, exact combinations
+  of v_tet, v_oct, L(p*pi/q) and pi*log(n/2) (antiprism volumes among them),
+  and the :class:`Bound` row shared by the polyhedron and link reports.
 * :mod:`volbounds.maps` -- dart-based combinatorial maps: validation,
   censuses, medial/dual, family builders, isomorphism.
 * :mod:`volbounds.polyhedra` -- volume bounds for generalized hyperbolic
@@ -22,12 +22,11 @@ from .lobachevsky import (
     V_TET,
     Bound,
     VolumeExpr,
+    antiprism_expr,
     antiprism_volume,
-    bipyramid_log_bound,
-    ideal_tetrahedron_volume,
     lobachevsky,
     lobachevsky_quadrature,
-    regular_bipyramid_volume,
+    twisted_antiprism_expr,
     twisted_antiprism_volume,
     v_oct,
     v_tet,

@@ -22,11 +22,11 @@ from . import augmented, links, maps, polyhedra
 from .lobachevsky import (
     V_OCT,
     V_TET,
-    antiprism_volume,
+    antiprism_expr,
     bound_row,
     lobachevsky,
     mark_best,
-    twisted_antiprism_volume,
+    twisted_antiprism_expr,
 )
 from .twists import (
     TwistDecomposition,
@@ -50,25 +50,25 @@ _FAMILIES = {
 }
 
 # upper-bound row added to a family member's report:
-# (name, hypotheses, citation, value of member n)
+# (name, hypotheses, citation, exact form of member n)
 _FAMILY_BOUNDS = {
     "prism": (
         "prism-atkinson",
         ("prism",),
         "Atkinson 2011 prism bound",
-        lambda n: polyhedra.prism_atkinson_expr(n).value,
+        polyhedra.prism_atkinson_expr,
     ),
     "pyramid": (
         "antiprism-volume",
         ("exact rectification volume",),
         "Thurston antiprism volume (exact sup)",
-        antiprism_volume,
+        antiprism_expr,
     ),
     "two-apex-pyramid": (
         "twisted-antiprism-volume",
         ("exact rectification volume",),
         "twisted antiprism volume (exact sup)",
-        twisted_antiprism_volume,
+        twisted_antiprism_expr,
     ),
 }
 
@@ -163,8 +163,8 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
     doc: dict = {"input": description, "census": _census_block(m.census)}
     bounds = polyhedra.rectification_bounds(m)
     if family in _FAMILY_BOUNDS:
-        name, hypotheses, citation, volume = _FAMILY_BOUNDS[family]
-        extra = bound_row(name, "upper", hypotheses, citation, lambda: volume(n))
+        name, hypotheses, citation, expr = _FAMILY_BOUNDS[family]
+        extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n))
         bounds = mark_best(bounds + [extra])
     doc["bounds"] = _bound_rows(bounds)
     doc["warnings"] = []

@@ -7,7 +7,8 @@ exclusions) cannot be decided from a decomposition, so they enter as caller
 flags that gate applicability; the report never silently assumes them.
 
 Bounds are assembled as exact rational combinations of the transcendental
-constants and converted to floats late (see :class:`VolumeExpr`).
+constants (see :class:`VolumeExpr`); the report converts each to a float in
+:func:`bound_row`.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def link_report(
             "upper",
             ("hyperbolic", "not the figure-eight knot"),
             "Adams 1983 crossing-number bound",
-            lambda: adams_crossing_expr(s.c).value,
+            lambda: adams_crossing_expr(s.c),
             applicable=flags.not_figure_eight and s.c >= 3,
         ),
         bound_row(
@@ -262,7 +263,7 @@ def link_report(
             "upper",
             ("hyperbolic", "c >= 5"),
             "Adams 2013 octahedral bound (value computed from the exact form)",
-            lambda: adams_octahedral_expr(s.c).value,
+            lambda: adams_octahedral_expr(s.c),
             applicable=s.c >= 5,
         ),
         bound_row(
@@ -270,14 +271,14 @@ def link_report(
             "upper",
             ("hyperbolic",),
             "Agol-Thurston appendix to Lackenby 2004",
-            lambda: agol_thurston_expr(s.t).value,
+            lambda: agol_thurston_expr(s.t),
         ),
         bound_row(
             "dasbach-tsvietkova",
             "upper",
             ("hyperbolic", "reduced diagram (alternating or not)"),
             "Dasbach-Tsvietkova 2015/2019",
-            lambda: dasbach_tsvietkova_expr(s).value,
+            lambda: dasbach_tsvietkova_expr(s),
         ),
         bound_row(
             "adams-twist",
@@ -288,30 +289,29 @@ def link_report(
                 s,
                 reduced_alternating=reduced_alternating,
                 is_borromean=not flags.not_borromean,
-            ).value,
+            ),
         ),
         bound_row(
             "large-twist",
             "upper",
             ("hyperbolic", "t > 8"),
             "augmented-link decomposition bound for t > 8",
-            lambda: large_twist_expr(s.t).value,
-            applicable=s.t > 8,
+            lambda: large_twist_expr(s.t),
         ),
         bound_row(
             "large-twist-refined",
             "upper",
             ("hyperbolic", "t > 8", "white census known"),
             "augmented-link bound refined by the white triangles",
-            lambda: large_twist_refined_expr(s.t, delta).value,
-            applicable=s.t > 8 and delta is not None,
+            lambda: large_twist_refined_expr(s.t, delta),
+            applicable=delta is not None,
         ),
         bound_row(
             "white-face",
             "upper",
             ("hyperbolic", "white census known"),
             "white-face-census refinement of the augmented-link decomposition",
-            lambda: white_face_expr(s.t, white_census).value,
+            lambda: white_face_expr(s.t, white_census),
             applicable=white_census is not None and s.t >= 2,
         ),
         bound_row(
@@ -319,16 +319,14 @@ def link_report(
             "lower",
             ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
             "Futer-Kalfagianni-Purcell lower bound",
-            lambda: fkp_lower_expr(
-                s.t, s.min_length, reduced_alternating=reduced_alternating
-            ).value,
+            lambda: fkp_lower_expr(s.t, s.min_length, reduced_alternating=reduced_alternating),
         ),
         bound_row(
             "two-bridge-lower",
             "lower",
             ("hyperbolic", "two-bridge", "reduced alternating"),
             "Gueritaud-Futer two-bridge bounds",
-            lambda: two_bridge_bounds_expr(s.t)[0].value,
+            lambda: two_bridge_bounds_expr(s.t)[0],
             applicable=tb_ok,
         ),
         bound_row(
@@ -336,7 +334,7 @@ def link_report(
             "upper",
             ("hyperbolic", "two-bridge", "reduced alternating"),
             "Gueritaud-Futer two-bridge bounds",
-            lambda: two_bridge_bounds_expr(s.t)[1].value,
+            lambda: two_bridge_bounds_expr(s.t)[1],
             applicable=tb_ok,
         ),
     ]
@@ -348,14 +346,14 @@ def link_report(
                 "lower",
                 ("hyperbolic", "prime alternating non-torus knot"),
                 "Dasbach-Lin Jones-coefficient bounds",
-                lambda: jones_bounds_expr(a2, penult)[0].value,
+                lambda: jones_bounds_expr(a2, penult)[0],
             ),
             bound_row(
                 "jones-upper",
                 "upper",
                 ("hyperbolic", "prime alternating non-torus knot"),
                 "Dasbach-Lin Jones-coefficient bounds",
-                lambda: jones_bounds_expr(a2, penult)[1].value,
+                lambda: jones_bounds_expr(a2, penult)[1],
                 applicable=a2 + penult - 1 > 0,
             ),
         ]

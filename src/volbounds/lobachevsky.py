@@ -2,12 +2,11 @@
 
 Everything downstream (polyhedron and link volume bounds) is a rational
 combination of a handful of transcendental constants: v_tet = 3*L(pi/3),
-v_oct = 8*L(pi/4), values L(pi/n), and pi*log(n/2).  This module provides
+v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 
 * two structurally independent evaluators of the Lobachevsky function
   (a zeta-accelerated series and an adaptive-quadrature oracle),
-* the closed-form volumes of ideal tetrahedra slices, regular bipyramids,
-  antiprisms and twisted antiprisms, and
+* the volumes of antiprisms and twisted antiprisms, exact and in floats,
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
   that is only converted to floating point at the boundary, and
 * :class:`Bound`, the report row that the polyhedron and link reports share,
@@ -27,12 +26,11 @@ __all__ = [
     "v_oct",
     "V_TET",
     "V_OCT",
-    "ideal_tetrahedron_volume",
-    "regular_bipyramid_volume",
-    "bipyramid_log_bound",
     "antiprism_volume",
     "twisted_antiprism_volume",
     "VolumeExpr",
+    "antiprism_expr",
+    "twisted_antiprism_expr",
     "NotApplicable",
     "Bound",
     "bound_row",
@@ -150,27 +148,9 @@ def _require_n(n: int, minimum: int, what: str) -> None:
         raise ValueError(f"{what}: need integer n >= {minimum}, got {n!r}")
 
 
-def ideal_tetrahedron_volume(n: int) -> float:
-    """Volume 2*L(pi/n) of the tetrahedron slice of the regular n-gonal bipyramid."""
-    _require_n(n, 3, "ideal_tetrahedron_volume")
-    return 2.0 * lobachevsky(math.pi / n)
-
-
-def regular_bipyramid_volume(n: int) -> float:
-    """Volume 2n*L(pi/n) of the regular ideal n-gonal bipyramid."""
-    _require_n(n, 3, "regular_bipyramid_volume")
-    return 2.0 * n * lobachevsky(math.pi / n)
-
-
-def bipyramid_log_bound(n: int) -> float:
-    """Upper bound 2*pi*log(n/2) for the regular ideal n-gonal bipyramid volume."""
-    _require_n(n, 3, "bipyramid_log_bound")
-    return 2.0 * math.pi * math.log(n / 2.0)
-
-
 def antiprism_volume(n: int) -> float:
     """Thurston's volume 2n*[L(pi/4 + pi/2n) + L(pi/4 - pi/2n)] of the ideal
-    right-angled n-antiprism."""
+    right-angled n-antiprism; the float oracle of :func:`antiprism_expr`."""
     _require_n(n, 3, "antiprism_volume")
     half = math.pi / (2.0 * n)
     return 2.0 * n * (lobachevsky(math.pi / 4.0 + half) + lobachevsky(math.pi / 4.0 - half))
@@ -186,8 +166,8 @@ def twisted_antiprism_volume(n: int) -> float:
 # Exact rational combinations of the basis constants
 # ---------------------------------------------------------------------------
 
-# basis keys: "one", "v_tet", "v_oct", ("lob", n) -> L(pi/n),
-# ("pilog", n) -> pi*log(n/2)
+# basis keys: "one", "v_tet", "v_oct", ("lob", p, q) -> L(p*pi/q) with
+# 0 < p/q <= 1/2 in lowest terms, ("pilog", n) -> pi*log(n/2)
 
 
 def _basis_value(key) -> float:
@@ -197,20 +177,31 @@ def _basis_value(key) -> float:
         return V_TET
     if key == "v_oct":
         return V_OCT
-    tag, n = key
-    if tag == "lob":
-        return lobachevsky(math.pi / n)
-    if tag == "pilog":
-        return math.pi * math.log(n / 2.0)
+    if key[0] == "lob":
+        return lobachevsky(math.pi * key[1] / key[2])
+    if key[0] == "pilog":
+        return math.pi * math.log(key[1] / 2.0)
     raise KeyError(key)
 
 
+def _lob_term(key, coef: Fraction) -> tuple[tuple, Fraction]:
+    """``coef * L(p*pi/q)`` with its key in canonical form, using that L is
+    odd and pi-periodic (L(0) = 0 gives a zero coefficient)."""
+    _, p, q = key
+    if 0 < 2 * p <= q and math.gcd(p, q) == 1:
+        return key, coef
+    r = Fraction(p, q) % 1
+    if 2 * r > 1:
+        r, coef = 1 - r, -coef
+    return ("lob", r.numerator, r.denominator), coef if r else Fraction(0)
+
+
 class VolumeExpr:
-    """Exact rational combination of {1, v_tet, v_oct, L(pi/n), pi*log(n/2)}.
+    """Exact rational combination of {1, v_tet, v_oct, L(p*pi/q), pi*log(n/2)}.
 
     Bounds are assembled in this form and converted to floating point only at
-    the boundary, so coefficient-level identities (e.g. "equals 4*v_tet") can
-    be asserted exactly.
+    the boundary (:func:`bound_row`), so coefficient-level identities (e.g.
+    "equals 4*v_tet") can be asserted exactly.  Each L(p*pi/q) has one key.
     """
 
     __slots__ = ("_terms",)
@@ -219,9 +210,20 @@ class VolumeExpr:
         cleaned = {}
         for key, coef in dict(terms or {}).items():
             frac = Fraction(coef)
+            if key[0] == "lob":
+                key, frac = _lob_term(key, frac)
+                if key in cleaned:  # two spellings of one L(p*pi/q)
+                    frac += cleaned.pop(key)
             if frac:
                 cleaned[key] = frac
         self._terms = cleaned
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "VolumeExpr":
+        """Arithmetic result: canonical keys, Fraction coefficients, no checks."""
+        expr = cls.__new__(cls)
+        expr._terms = {k: c for k, c in terms.items() if c}
+        return expr
 
     @classmethod
     def constant(cls, value) -> "VolumeExpr":
@@ -237,7 +239,7 @@ class VolumeExpr:
 
     @classmethod
     def lob(cls, n: int, coef=1) -> "VolumeExpr":
-        return cls({("lob", int(n)): Fraction(coef)})
+        return cls({("lob", 1, int(n)): Fraction(coef)})
 
     @classmethod
     def pilog(cls, n: int, coef=1) -> "VolumeExpr":
@@ -259,8 +261,8 @@ class VolumeExpr:
             return NotImplemented
         merged = dict(self._terms)
         for key, coef in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coef
-        return VolumeExpr(merged)
+            merged[key] = merged.get(key, 0) + coef
+        return VolumeExpr._canonical(merged)
 
     def __sub__(self, other: "VolumeExpr") -> "VolumeExpr":
         if not isinstance(other, VolumeExpr):
@@ -273,7 +275,7 @@ class VolumeExpr:
     def __mul__(self, scalar) -> "VolumeExpr":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return VolumeExpr({k: c * scalar for k, c in self._terms.items()})
+        return VolumeExpr._canonical({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -292,11 +294,26 @@ class VolumeExpr:
                 return "1"
             if isinstance(key, str):
                 return key
-            tag, n = key
-            return f"L(pi/{n})" if tag == "lob" else f"pi*log({n}/2)"
+            if key[0] == "pilog":
+                return f"pi*log({key[1]}/2)"
+            _, p, q = key
+            return f"L(pi/{q})" if p == 1 else f"L({p}*pi/{q})"
 
         parts = [f"{c}*{label(k)}" for k, c in sorted(self._terms.items(), key=lambda kv: str(kv[0]))]
         return "VolumeExpr(" + " + ".join(parts) + ")"
+
+
+def antiprism_expr(n: int) -> VolumeExpr:
+    """Thurston's volume 2n*[L((n+2)pi/4n) + L((n-2)pi/4n)] of the ideal
+    right-angled n-antiprism."""
+    _require_n(n, 3, "antiprism_expr")
+    return VolumeExpr({("lob", n + 2, 4 * n): 2 * n, ("lob", n - 2, 4 * n): 2 * n})
+
+
+def twisted_antiprism_expr(n: int) -> VolumeExpr:
+    """Volume A(n-1) + A(3) of the twisted n-antiprism."""
+    _require_n(n, 4, "twisted_antiprism_expr")
+    return antiprism_expr(n - 1) + antiprism_expr(3)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +339,8 @@ class Bound:
 
 
 def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bound:
-    """Row whose value is ``compute()``, evaluated only when ``applicable``.
+    """Row whose value is ``compute().value``, evaluated only when
+    ``applicable``: every report row leaves exact arithmetic here.
 
     A :class:`NotApplicable` raised by ``compute`` makes the row inapplicable;
     an inapplicable row has value ``None``.
@@ -330,7 +348,7 @@ def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bou
     value = None
     if applicable:
         try:
-            value = compute()
+            value = compute().value
         except NotApplicable:
             applicable = False
     return Bound(name, kind, value, applicable, hypotheses, citation)

@@ -117,9 +117,6 @@ class SkeletonCensus:
     def is_four_regular(self) -> bool:
         return set(self.degree_counts) == {4}
 
-    def all_trivalent(self) -> bool:
-        return set(self.degree_counts) == {3}
-
 
 def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles of a permutation on 0..N-1, sorted by minimal element; each

@@ -74,22 +74,13 @@ def irp_bounds_expr(v: int) -> tuple[VolumeExpr, VolumeExpr]:
     return lower, upper
 
 
-def thm_edge_expr(e: int, is_tetrahedron: bool) -> VolumeExpr:
-    """Edge-count upper bound for a generalized hyperbolic polyhedron:
-    v_oct for the tetrahedron, else (voct/2)E - (5/2)voct, tightened to
-    (voct/2)E - 3voct when E > 24."""
+def thm_edge_expr(e: int) -> VolumeExpr:
+    """Edge-count upper bound for a generalized hyperbolic polyhedron: the
+    vertex-count upper bound of :func:`irp_bounds_expr` carried to the
+    medial, whose vertex count is E."""
     if e < 6:
         raise ValueError("thm_edge_expr: a polyhedron has at least 6 edges")
-    if is_tetrahedron:
-        return VolumeExpr.v_oct()
-    # same V=8 caveat as irp_bounds_expr, transported through the medial
-    if e > 24:
-        cut = Fraction(3)
-    elif e >= 9:
-        cut = Fraction(5, 2)
-    else:
-        cut = Fraction(2)
-    return VolumeExpr.v_oct(Fraction(e, 2) - cut)
+    return irp_bounds_expr(e)[1]
 
 
 def _require_irp_census(census: SkeletonCensus) -> None:
@@ -127,20 +118,16 @@ def irp_triangle_expr(v: int, p3: int) -> VolumeExpr:
     return VolumeExpr.v_tet(2 * (v - shift))
 
 
-def triangle_trivalent_expr(e: int, v3: int, p3: int, all_trivalent: bool = False) -> VolumeExpr:
+def triangle_trivalent_expr(e: int, v3: int, p3: int) -> VolumeExpr:
     """Edge-count bound refined by triangular faces and trivalent vertices:
-    2 v_tet (E - (p3+V3+8)/4), or (5 v_tet/3)(E - (3 p3 + 24)/10) when every
-    vertex is trivalent."""
+    2 v_tet (E - (p3+V3+8)/4).  At V3 = 2E/3 (every vertex trivalent) it is
+    the all-trivalent form (5 v_tet/3)(E - (3 p3 + 24)/10)."""
     if e < 6:
         raise ValueError("triangle_trivalent_expr: a polyhedron has at least 6 edges")
     if v3 < 0 or p3 < 0:
         raise ValueError("triangle_trivalent_expr: counts must be nonnegative")
     if 3 * v3 > 2 * e or 3 * p3 > 2 * e:
         raise ValueError("triangle_trivalent_expr: counts inconsistent with the edge count")
-    if all_trivalent:
-        if (2 * e) % 3 != 0:
-            raise ValueError("triangle_trivalent_expr: all-trivalent needs 2E divisible by 3")
-        return VolumeExpr.v_tet(Fraction(5, 3) * (e - Fraction(3 * p3 + 24, 10)))
     return VolumeExpr.v_tet(2 * (e - Fraction(p3 + v3 + 8, 4)))
 
 
@@ -176,7 +163,7 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
             "upper",
             ("non-obtuse", "vertex degrees in {3,4}"),
             "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
-            lambda: atkinson_mixed_expr(census.v3, census.v4).value,
+            lambda: atkinson_mixed_expr(census.v3, census.v4),
             applicable=set(census.degree_counts) <= {3, 4},
         ),
         bound_row(
@@ -184,51 +171,49 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
             "upper",
             ("3-connected skeleton",),
             "vertex-count bounds for ideal right-angled polyhedra applied to the medial",
-            lambda: thm_edge_expr(census.E, census.V == 4).value,
+            lambda: thm_edge_expr(census.E),
         ),
         bound_row(
             "triangle-trivalent",
             "upper",
             ("3-connected skeleton",),
             "face-census refinement of the edge-count bound",
-            lambda: triangle_trivalent_expr(
-                census.E, census.v3, census.p3, census.all_trivalent()
-            ).value,
+            lambda: triangle_trivalent_expr(census.E, census.v3, census.p3),
         ),
         bound_row(
             "medial-vertex-count",
             "upper",
             _IRP_HYP,
             "Atkinson 2009 vertex-count bounds (with V>=8 and V>24 refinements)",
-            lambda: upper.value,
+            lambda: upper,
         ),
         bound_row(
             "medial-face-census",
             "upper",
             _IRP_HYP,
             "bipyramid-decomposition face-census bound",
-            lambda: face_census_expr(med_census).value,
+            lambda: face_census_expr(med_census),
         ),
         bound_row(
             "medial-face-census-log",
             "upper",
             _IRP_HYP,
             "logarithmic bipyramid bound",
-            lambda: face_census_log_expr(med_census).value,
+            lambda: face_census_log_expr(med_census),
         ),
         bound_row(
             "medial-triangle-count",
             "upper",
             _IRP_HYP,
             "triangle-aware vertex-count bound",
-            lambda: irp_triangle_expr(med_census.V, med_census.p3).value,
+            lambda: irp_triangle_expr(med_census.V, med_census.p3),
         ),
         bound_row(
             "medial-vertex-count-lower",
             "lower",
             _IRP_HYP + ("lower bound for the rectification volume, i.e. for sup vol",),
             "Atkinson 2009 lower bound",
-            lambda: lower.value,
+            lambda: lower,
         ),
     ]
     return mark_best(rows)

@@ -126,12 +126,12 @@ def test_c04_medial_goldens():
 
 def test_c05_family_closed_forms():
     for n in range(4, 16):
-        pyramid_form = triangle_trivalent_expr(2 * n, n, n, False)
+        pyramid_form = triangle_trivalent_expr(2 * n, n, n)
         assert pyramid_form.terms == {"v_tet": Fraction(3 * n - 4)}
     for n in range(5, 16):
-        two_apex_form = triangle_trivalent_expr(2 * n + 1, n + 1, n - 2, False)
+        two_apex_form = triangle_trivalent_expr(2 * n + 1, n + 1, n - 2)
         assert two_apex_form.terms == {"v_tet": Fraction(3 * n) - Fraction(3, 2)}
-    tetra_form = triangle_trivalent_expr(6, 4, 4, False)
+    tetra_form = triangle_trivalent_expr(6, 4, 4)
     assert tetra_form.terms == {"v_tet": Fraction(4)}
 
 

@@ -241,6 +241,39 @@ class TestLinkAugment:
         assert code == 2
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FAMILIES = (("pyramid", 3), ("two-apex-pyramid", 4), ("prism", 3))
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("volbounds ")]
+
+
+def golden_transcript(fmt: str) -> str:
+    """Exit code, stdout and stderr of the README CLI block and of the family
+    reports, run in the current directory (the block writes files there)."""
+    commands = _readme_commands() + [
+        ["poly", "family", "--name", name, "--n", str(n), "--bounds"]
+        for name, low in GOLDEN_FAMILIES
+        for n in range(low, 13)
+    ]
+    parts = []
+    for argv in commands:
+        code, out, err = invoke(["--format", fmt] + argv)
+        parts.append(f"$ volbounds --format {fmt} {' '.join(argv)}\n[exit {code}]\n{out}{err}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_golden_transcript(fmt, tmp_path, monkeypatch):
+    # any byte of difference is an output change, to be made on purpose and
+    # recorded; regenerate with `python tests/test_cli.py`
+    monkeypatch.chdir(tmp_path)
+    assert golden_transcript(fmt) == (GOLDEN / f"cli.{fmt}.txt").read_text()
+
+
 def test_unknown_subcommand():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
@@ -282,3 +315,15 @@ def test_closed_stdout_exits_one_quietly():
     assert proc.wait(timeout=60) == 1
     assert "error:" not in err
     assert "Exception ignored" not in err
+
+
+if __name__ == "__main__":
+    # rewrite the golden transcripts from the current code
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for fmt in ("table", "json"):
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            text = golden_transcript(fmt)
+        (GOLDEN / f"cli.{fmt}.txt").write_text(text)

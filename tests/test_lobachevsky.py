@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 from reference_values import V_OCT_EXACT, V_TET_EXACT
 
+from volbounds.links import adams_twist_expr, white_face_expr
 from volbounds.lobachevsky import (
     V_OCT,
     V_TET,
     VolumeExpr,
+    antiprism_expr,
     antiprism_volume,
-    bipyramid_log_bound,
-    ideal_tetrahedron_volume,
     lobachevsky,
     lobachevsky_quadrature,
-    regular_bipyramid_volume,
+    twisted_antiprism_expr,
     twisted_antiprism_volume,
     v_oct,
     v_tet,
 )
+from volbounds.maps import SkeletonCensus
+from volbounds.polyhedra import face_census_expr
+from volbounds.twists import TwistDecomposition, twist_stats
 
 PI = math.pi
 
@@ -90,30 +93,30 @@ def test_maximum_at_pi_over_six():
 
 
 def test_ideal_tetrahedron_volume():
-    assert ideal_tetrahedron_volume(3) == pytest.approx(2 * L_PI_3, abs=1e-12)
-    assert ideal_tetrahedron_volume(4) == pytest.approx(V_OCT / 4, abs=1e-12)
+    # the tetrahedron slice 2 L(pi/n) of the regular ideal n-gonal bipyramid
+    assert VolumeExpr.lob(3, 2).value == pytest.approx(2 * L_PI_3, abs=1e-12)
+    assert VolumeExpr.lob(4, 2).value == pytest.approx(V_OCT / 4, abs=1e-12)
     # series value must agree with the quadrature form of the same integral
     for n in (3, 5, 9, 17):
-        assert ideal_tetrahedron_volume(n) == pytest.approx(
+        assert VolumeExpr.lob(n, 2).value == pytest.approx(
             2 * lobachevsky_quadrature(PI / n), abs=1e-9
         )
-    with pytest.raises(ValueError):
-        ideal_tetrahedron_volume(2)
 
 
 def test_regular_bipyramid_volume():
-    assert regular_bipyramid_volume(3) == pytest.approx(2 * V_TET, abs=1e-12)
-    assert regular_bipyramid_volume(4) == pytest.approx(V_OCT, abs=1e-12)
-    with pytest.raises(ValueError):
-        regular_bipyramid_volume(2)
+    # the regular ideal n-gonal bipyramid 2n L(pi/n)
+    assert VolumeExpr.lob(3, 6).value == pytest.approx(2 * V_TET, abs=1e-12)
+    assert VolumeExpr.lob(4, 8).value == pytest.approx(V_OCT, abs=1e-12)
+    for n in (3, 5, 9, 17):
+        assert VolumeExpr.lob(n, 2 * n).value == pytest.approx(
+            2 * n * lobachevsky_quadrature(PI / n), abs=1e-9
+        )
 
 
 def test_bipyramid_log_bound_dominates():
-    assert bipyramid_log_bound(4) == pytest.approx(2 * PI * math.log(2), abs=1e-12)
-    with pytest.raises(ValueError):
-        bipyramid_log_bound(2)
+    assert VolumeExpr.pilog(4, 2).value == pytest.approx(2 * PI * math.log(2), abs=1e-12)
     for n in range(3, 101):
-        assert regular_bipyramid_volume(n) < bipyramid_log_bound(n) + 1e-9
+        assert VolumeExpr.lob(n, 2 * n).value < VolumeExpr.pilog(n, 2).value
 
 
 def test_antiprism_volume():
@@ -131,6 +134,27 @@ def test_twisted_antiprism_volume():
     )
     with pytest.raises(ValueError):
         twisted_antiprism_volume(3)
+
+
+def test_antiprism_expr_matches_float_oracle():
+    for n in range(3, 201):
+        assert antiprism_expr(n).value == pytest.approx(antiprism_volume(n), rel=1e-12)
+    for n in range(4, 201):
+        assert twisted_antiprism_expr(n).value == pytest.approx(
+            twisted_antiprism_volume(n), rel=1e-12
+        )
+    with pytest.raises(ValueError):
+        antiprism_expr(2)
+    with pytest.raises(ValueError):
+        twisted_antiprism_expr(3)
+
+
+def test_antiprism_expr_closed_forms():
+    # A(4): 8 [L(3 pi/8) + L(pi/8)]; A(6) in lowest terms: 12 [L(pi/3) + L(pi/6)]
+    assert antiprism_expr(4) == VolumeExpr({("lob", 3, 8): 8, ("lob", 1, 8): 8})
+    assert antiprism_expr(6) == VolumeExpr.lob(3, 12) + VolumeExpr.lob(6, 12)
+    assert repr(antiprism_expr(4)) == "VolumeExpr(8*L(pi/8) + 8*L(3*pi/8))"
+    assert twisted_antiprism_expr(7) == antiprism_expr(6) + antiprism_expr(3)
 
 
 class TestVolumeExpr:
@@ -154,3 +178,51 @@ class TestVolumeExpr:
         assert VolumeExpr.lob(3, 3).value == pytest.approx(V_TET, abs=1e-12)
         assert VolumeExpr.pilog(4).value == pytest.approx(PI * math.log(2), abs=1e-12)
         assert VolumeExpr.constant(Fraction(27066, 10000)).value == pytest.approx(2.7066)
+
+    def test_lob_is_the_p_equals_one_key(self):
+        for n in range(2, 40):
+            built = VolumeExpr({("lob", 1, n): 3})
+            assert VolumeExpr.lob(n, 3) == built
+            assert hash(VolumeExpr.lob(n, 3)) == hash(built)
+            assert VolumeExpr.lob(n).terms == {("lob", 1, n): 1}
+
+    def test_lob_keys_are_canonical(self):
+        # lowest terms, and 0 < p/q <= 1/2 by L(x + pi) = L(x) = -L(-x)
+        assert VolumeExpr({("lob", 2, 16): 1}) == VolumeExpr.lob(8)
+        assert VolumeExpr({("lob", 9, 8): 1}) == VolumeExpr.lob(8)
+        assert VolumeExpr({("lob", 7, 8): 1}) == VolumeExpr.lob(8, -1)
+        assert VolumeExpr({("lob", -1, 8): 1}) == VolumeExpr.lob(8, -1)
+        assert VolumeExpr({("lob", 4, 8): 1}) == VolumeExpr.lob(2)
+        for zero in (("lob", 0, 5), ("lob", 3, 3), ("lob", -4, 2)):
+            assert VolumeExpr({zero: 1}) == VolumeExpr()
+        # two spellings of one constant merge into one term
+        merged = VolumeExpr({("lob", 1, 8): 1, ("lob", 2, 16): 2, ("lob", 7, 8): 5})
+        assert merged == VolumeExpr.lob(8, -2)
+        assert VolumeExpr({("lob", 1, 8): 1, ("lob", 7, 8): 1}) == VolumeExpr()
+        # arithmetic on canonical terms stays canonical
+        total = VolumeExpr({("lob", 2, 16): 1}) + 3 * VolumeExpr({("lob", 9, 8): 1})
+        assert total.terms == {("lob", 1, 8): 4} and hash(total) == hash(VolumeExpr.lob(8, 4))
+
+    def test_every_key_evaluates_its_angle(self):
+        for q in range(1, 13):
+            for p in range(-2 * q, 2 * q + 1):
+                expr = VolumeExpr({("lob", p, q): 1})
+                for _, a, b in expr.terms:
+                    assert 0 < 2 * a <= b and math.gcd(a, b) == 1
+                assert expr.value == pytest.approx(lobachevsky(PI * p / q), abs=1e-13)
+
+    def test_reprs_of_existing_forms(self):
+        # widening the basis to L(p*pi/q) left every L(pi/n) repr as it was
+        q14 = SkeletonCensus(V=12, E=24, F=14, degree_counts={4: 12}, face_counts={3: 8, 4: 6})
+        assert repr(adams_twist_expr(twist_stats(TwistDecomposition((3, 4, 4))))) == (
+            "VolumeExpr(8*L(pi/4) + -12*L(pi/6) + 16*L(pi/8) + 18*L(pi/9) + 2*v_tet)"
+        )
+        assert repr(white_face_expr(3, {3: 2, 4: 3})) == (
+            "VolumeExpr(12*L(pi/3) + 24*L(pi/4) + 4*v_tet)"
+        )
+        assert repr(face_census_expr(q14)) == "VolumeExpr(24*L(pi/3) + 24*L(pi/4) + -4*v_tet)"
+
+    def test_malformed_lob_key_rejected(self):
+        for bad in (("lob", 8), ("lob", 1, 8, 1), ("lob", 1.0, 8)):
+            with pytest.raises((ValueError, TypeError)):
+                VolumeExpr({bad: 1})

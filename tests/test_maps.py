@@ -173,7 +173,7 @@ class TestBuilders:
     def test_prism3_counts(self):
         c = validate_map(prism(3))
         assert (c.V, c.E, c.F) == (6, 9, 5)
-        assert c.all_trivalent() and c.p3 == 2
+        assert c.degree_counts == {3: 6} and c.p3 == 2
 
     def test_two_apex_counts(self):
         c = validate_map(two_apex_pyramid(6))

@@ -87,21 +87,26 @@ class TestIrpBounds:
 
 class TestEdgeBound:
     def test_tetrahedron(self):
-        assert thm_edge_expr(6, True).value == pytest.approx(V_OCT, abs=1e-12)
+        assert thm_edge_expr(6) == VolumeExpr.v_oct()
 
     def test_mid_range(self):
-        assert thm_edge_expr(12, False).value == pytest.approx(12.8235183184811, abs=1e-9)
+        assert thm_edge_expr(12).value == pytest.approx(12.8235183184811, abs=1e-9)
 
     def test_large(self):
-        assert thm_edge_expr(25, False).value == pytest.approx(9.5 * V_OCT, abs=1e-9)
+        assert thm_edge_expr(25).value == pytest.approx(9.5 * V_OCT, abs=1e-9)
 
     def test_small_e_rejected(self):
         with pytest.raises(ValueError):
-            thm_edge_expr(5, False)
+            thm_edge_expr(5)
+
+    def test_is_the_medial_vertex_count_bound(self):
+        # the medial of a skeleton with E edges has E vertices
+        for e in range(6, 500):
+            assert thm_edge_expr(e) == irp_bounds_expr(e)[1]
 
     def test_monotone_tightening(self):
         for e in range(25, 40):
-            tight = thm_edge_expr(e, False)
+            tight = thm_edge_expr(e)
             generic = VolumeExpr.v_oct(Fraction(e, 2) - Fraction(5, 2))
             assert tight.value <= generic.value + 1e-12
 
@@ -150,29 +155,34 @@ class TestTriangleTrivalentBound:
 
     def test_pyramid_closed_form(self):
         for n in range(4, 15):
-            assert triangle_trivalent_expr(2 * n, n, n, False) == VolumeExpr.v_tet(3 * n - 4)
+            assert triangle_trivalent_expr(2 * n, n, n) == VolumeExpr.v_tet(3 * n - 4)
 
     def test_two_apex_closed_form(self):
         for n in range(5, 15):
-            expr = triangle_trivalent_expr(2 * n + 1, n + 1, n - 2, False)
+            expr = triangle_trivalent_expr(2 * n + 1, n + 1, n - 2)
             assert expr == VolumeExpr.v_tet(Fraction(6 * n - 3, 2))
 
     def test_prism_all_trivalent_form(self):
-        # literal arithmetic of the printed prism bound 5 v_tet n - 4 v_tet
+        # literal arithmetic of the printed prism bound 5 v_tet n - 4 v_tet;
+        # the n-prism has E = 3n and V3 = 2n
         for n in range(4, 15):
-            assert triangle_trivalent_expr(3 * n, 0, 0, True) == VolumeExpr.v_tet(5 * n - 4)
+            assert triangle_trivalent_expr(3 * n, 2 * n, 0) == VolumeExpr.v_tet(5 * n - 4)
+
+    def test_all_trivalent_is_the_printed_form(self):
+        # at V3 = 2E/3 the bound is (5 v_tet/3)(E - (3 p3 + 24)/10)
+        for e in range(6, 400, 3):
+            for p3 in range(0, 2 * e // 3 + 1):
+                printed = VolumeExpr.v_tet(Fraction(5, 3) * (e - Fraction(3 * p3 + 24, 10)))
+                assert triangle_trivalent_expr(e, 2 * e // 3, p3) == printed
 
     def test_triangular_prism(self):
-        assert triangle_trivalent_expr(9, 6, 2, True) == VolumeExpr.v_tet(10)
-        assert triangle_trivalent_expr(9, 6, 2, False) == VolumeExpr.v_tet(10)
+        assert triangle_trivalent_expr(9, 6, 2) == VolumeExpr.v_tet(10)
 
     def test_inconsistent_counts(self):
         with pytest.raises(ValueError):
             triangle_trivalent_expr(6, 5, 0)
         with pytest.raises(ValueError):
             triangle_trivalent_expr(6, 0, 5)
-        with pytest.raises(ValueError):
-            triangle_trivalent_expr(7, 0, 0, all_trivalent=True)
 
 
 class TestPrismBounds:
@@ -185,10 +195,10 @@ class TestPrismBounds:
     def test_crossover_at_eight(self):
         # 5 v_tet n - 4 v_tet beats (3/2) v_oct n - 2 v_oct exactly from n = 8
         for n in range(3, 8):
-            trivalent = triangle_trivalent_expr(3 * n, 0, 0, True).value
+            trivalent = triangle_trivalent_expr(3 * n, 2 * n, 0).value
             assert trivalent >= prism_atkinson_expr(n).value
         for n in range(8, 40):
-            trivalent = triangle_trivalent_expr(3 * n, 0, 0, True).value
+            trivalent = triangle_trivalent_expr(3 * n, 2 * n, 0).value
             assert trivalent < prism_atkinson_expr(n).value
 
     def test_crossover_constant(self):
@@ -202,13 +212,12 @@ class TestThresholdCharacterization:
         # all-trivalent bound beats the E>24 edge bound iff E + r1 p3 > r2
         r1 = 3 * V_TET / (3 * V_OCT - 10 * V_TET)
         r2 = 6 * (3 * V_OCT - 4 * V_TET) / (3 * V_OCT - 10 * V_TET)
-        for e in range(25, 80, 3):
+        # E runs over multiples of 3, the edge counts with V3 = 2E/3
+        for e in range(27, 80, 3):
             for p3 in range(0, 2 * e // 3, 2):
-                trivalent = triangle_trivalent_expr(e, 2 * e // 3, p3, False).value
-                if (2 * e) % 3 == 0:
-                    trivalent = triangle_trivalent_expr(e, 0, p3, True).value
-                    edge = thm_edge_expr(e, False).value
-                    assert (trivalent < edge) == (e + r1 * p3 > r2)
+                trivalent = triangle_trivalent_expr(e, 2 * e // 3, p3).value
+                edge = thm_edge_expr(e).value
+                assert (trivalent < edge) == (e + r1 * p3 > r2)
 
 
 class TestRectificationBounds:
