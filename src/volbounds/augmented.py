@@ -201,15 +201,11 @@ def white_census_by_corner_count(d: TwistReducedDiagram) -> dict[int, int]:
     the white size is (#axis corners) + 2 (#other corners).
     """
     dm = d.map
-    verts = vertex_orbits(dm)
     axis_darts = set()
-    for orbit, axis in zip(verts, d.axis):
-        start = min(orbit)
-        cyc = [start]
-        while len(cyc) < len(orbit):
-            cyc.append(dm.sigma[cyc[-1]])
-        axis_darts.add(cyc[axis])
-        axis_darts.add(cyc[axis + 2])
+    # each orbit is the sigma-cycle from its minimal dart
+    for orbit, axis in zip(vertex_orbits(dm), d.axis):
+        axis_darts.add(orbit[axis])
+        axis_darts.add(orbit[axis + 2])
 
     census: Counter[int] = Counter()
     for orbit in face_orbits(dm):

@@ -250,14 +250,11 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
     return doc
 
 
+_FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(links.HypothesisFlags))
+
+
 def _flags_from_args(args) -> links.HypothesisFlags:
-    return links.HypothesisFlags(
-        reduced=args.reduced,
-        alternating=args.alternating,
-        two_bridge=args.two_bridge,
-        not_figure_eight=args.not_figure_eight,
-        not_borromean=args.not_borromean,
-    )
+    return links.HypothesisFlags(**{name: getattr(args, name) for name in _FLAG_FIELDS})
 
 
 def _cmd_link_two_bridge(args) -> int:
@@ -379,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tw.add_argument("--lengths", required=True, help="comma-separated signed twist lengths")
     p_tw.add_argument("--jones")
     p_tw.add_argument("--bound")
-    for flag in ("reduced", "alternating", "two-bridge", "not-figure-eight", "not-borromean"):
-        p_tw.add_argument(f"--{flag}", dest=flag.replace("-", "_"), action="store_true")
+    for name in _FLAG_FIELDS:
+        p_tw.add_argument(f"--{name.replace('_', '-')}", dest=name, action="store_true")
     p_tw.set_defaults(func=_cmd_link_twists)
 
     p_aug = link_sub.add_parser("augment", help="augmented polyhedron of a diagram")
@@ -404,7 +401,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return _stdout_closed()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

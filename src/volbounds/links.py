@@ -6,6 +6,12 @@ Hyperbolicity and diagram-level hypotheses (reduced, alternating, named-link
 exclusions) cannot be decided from a decomposition, so they enter as caller
 flags that gate applicability; the report never silently assumes them.
 
+Each hypothesis is checked in one place.  A ``*_expr`` function raises
+:class:`NotApplicable`, with a message, when a hypothesis on its own numeric
+arguments fails (e.g. ``t > 8``); it takes no flags.  :func:`link_report`
+gates a row, through ``bound_row(..., applicable=...)``, only on what those
+arguments cannot show: the caller's flags and optional data.
+
 Bounds are assembled as exact rational combinations of the transcendental
 constants (see :class:`VolumeExpr`); the report converts each to a float in
 :func:`bound_row`.
@@ -53,20 +59,18 @@ class HypothesisFlags:
     not_borromean: bool = False
 
 
-def adams_crossing_expr(c: int, is_figure_eight: bool = False) -> VolumeExpr:
+def adams_crossing_expr(c: int) -> VolumeExpr:
     """Crossing-number bound v_tet (4c - 16) for hyperbolic knots other than
-    the figure-eight."""
+    the figure-eight (an exclusion the report gates)."""
     if c < 3:
-        raise ValueError("adams_crossing_expr: need crossing number >= 3")
-    if is_figure_eight:
-        raise NotApplicable("crossing bound excludes the figure-eight knot")
+        raise NotApplicable("crossing bound needs at least 3 crossings")
     return VolumeExpr.v_tet(4 * c - 16)
 
 
 def adams_octahedral_expr(c: int) -> VolumeExpr:
     """Octahedral crossing bound v_oct (c - 5) + 4 v_tet for c >= 5."""
     if c < 5:
-        raise ValueError("adams_octahedral_expr: need crossing number >= 5")
+        raise NotApplicable("octahedral bound needs at least 5 crossings")
     return VolumeExpr.v_oct(c - 5) + VolumeExpr.v_tet(4)
 
 
@@ -129,22 +133,14 @@ def adams_a_case(s: TwistStats) -> tuple[str, VolumeExpr]:
     raise AssertionError("a-case analysis not exhaustive")  # unreachable for t >= 1
 
 
-def adams_twist_expr(
-    s: TwistStats,
-    *,
-    reduced_alternating: bool = True,
-    is_borromean: bool = False,
-) -> VolumeExpr:
+def adams_twist_expr(s: TwistStats) -> VolumeExpr:
     """Adams' per-length twist bound t1 v_oct + 6 t2 v_tet + 16 t3 L(pi/8)
     + 20 t4 L(pi/10) + 10 g5 v_tet - a.
 
-    Hypotheses: c >= 5, t >= 3, reduced alternating diagram, link is not the
-    Borromean rings; unmet hypotheses raise :class:`NotApplicable`.
+    Hypotheses: c >= 5, t >= 3 (unmet, they raise :class:`NotApplicable`),
+    reduced alternating diagram, link is not the Borromean rings (gated by
+    the report).
     """
-    if not reduced_alternating:
-        raise NotApplicable("twist-length bound needs a reduced alternating diagram")
-    if is_borromean:
-        raise NotApplicable("twist-length bound excludes the Borromean rings")
     if s.t < 3:
         raise NotApplicable("twist-length bound needs at least 3 twists")
     if s.c < 5:
@@ -178,13 +174,9 @@ def large_twist_refined_expr(t: int, delta: int) -> VolumeExpr:
     return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(13, 10) - Fraction(delta, 10)))
 
 
-def fkp_lower_expr(
-    t: int, min_twist_length: int, *, reduced_alternating: bool = True
-) -> VolumeExpr:
+def fkp_lower_expr(t: int, min_twist_length: int) -> VolumeExpr:
     """Lower bound 0.70735 (t - 1) for reduced alternating diagrams with
     t >= 2 twists, every twist of length at least 7."""
-    if not reduced_alternating:
-        raise NotApplicable("lower bound needs a reduced alternating diagram")
     if t < 2:
         raise NotApplicable("lower bound needs at least 2 twists")
     if min_twist_length < 7:
@@ -196,7 +188,7 @@ def two_bridge_bounds_expr(t: int) -> tuple[VolumeExpr, VolumeExpr]:
     """Two-sided bounds (lower, upper): 2 v_tet t - 2.7066 <= vol <=
     2 v_oct (t - 1) for two-bridge links with reduced alternating diagrams."""
     if t < 2:
-        raise ValueError("two_bridge_bounds_expr: need at least 2 twists")
+        raise NotApplicable("two-bridge bounds need at least 2 twists")
     lower = VolumeExpr.v_tet(2 * t) - VolumeExpr.constant(Fraction(27066, 10000))
     upper = VolumeExpr.v_oct(2 * (t - 1))
     return lower, upper
@@ -216,7 +208,7 @@ def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
     augmented-polyhedron bound; rejects censuses violating sum n f_n = 6t."""
     if t < 2:
-        raise ValueError("white_face_expr: need at least 2 twists")
+        raise NotApplicable("white-face bound needs at least 2 twists")
     handshake = sum(n * f for n, f in white_census.items())
     if handshake != 6 * t:
         raise CensusMismatchError(
@@ -248,7 +240,7 @@ def link_report(
     s = twist_stats(d)
     reduced_alternating = flags.reduced and flags.alternating
     delta = white_census.get(3, 0) if white_census else None
-    tb_ok = flags.two_bridge and reduced_alternating and s.t >= 2
+    tb_ok = flags.two_bridge and reduced_alternating
     rows = [
         bound_row(
             "adams-crossing",
@@ -256,7 +248,7 @@ def link_report(
             ("hyperbolic", "not the figure-eight knot"),
             "Adams 1983 crossing-number bound",
             lambda: adams_crossing_expr(s.c),
-            applicable=flags.not_figure_eight and s.c >= 3,
+            applicable=flags.not_figure_eight,
         ),
         bound_row(
             "adams-octahedral",
@@ -264,7 +256,6 @@ def link_report(
             ("hyperbolic", "c >= 5"),
             "Adams 2013 octahedral bound (value computed from the exact form)",
             lambda: adams_octahedral_expr(s.c),
-            applicable=s.c >= 5,
         ),
         bound_row(
             "agol-thurston",
@@ -285,11 +276,8 @@ def link_report(
             "upper",
             ("hyperbolic", "reduced alternating", "c >= 5", "t >= 3", "not the Borromean rings"),
             "Adams 2017 twist-length bound",
-            lambda: adams_twist_expr(
-                s,
-                reduced_alternating=reduced_alternating,
-                is_borromean=not flags.not_borromean,
-            ),
+            lambda: adams_twist_expr(s),
+            applicable=reduced_alternating and flags.not_borromean,
         ),
         bound_row(
             "large-twist",
@@ -312,14 +300,15 @@ def link_report(
             ("hyperbolic", "white census known"),
             "white-face-census refinement of the augmented-link decomposition",
             lambda: white_face_expr(s.t, white_census),
-            applicable=white_census is not None and s.t >= 2,
+            applicable=white_census is not None,
         ),
         bound_row(
             "fkp-lower",
             "lower",
             ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
             "Futer-Kalfagianni-Purcell lower bound",
-            lambda: fkp_lower_expr(s.t, s.min_length, reduced_alternating=reduced_alternating),
+            lambda: fkp_lower_expr(s.t, s.min_length),
+            applicable=reduced_alternating,
         ),
         bound_row(
             "two-bridge-lower",

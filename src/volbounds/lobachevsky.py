@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "lobachevsky",
@@ -170,7 +171,9 @@ def twisted_antiprism_volume(n: int) -> float:
 # 0 < p/q <= 1/2 in lowest terms, ("pilog", n) -> pi*log(n/2)
 
 
+@cache
 def _basis_value(key) -> float:
+    """Float value of one basis constant, evaluated once per key."""
     if key == "one":
         return 1.0
     if key == "v_tet":
@@ -227,23 +230,23 @@ class VolumeExpr:
 
     @classmethod
     def constant(cls, value) -> "VolumeExpr":
-        return cls({"one": Fraction(value)})
+        return cls({"one": value})
 
     @classmethod
     def v_tet(cls, coef=1) -> "VolumeExpr":
-        return cls({"v_tet": Fraction(coef)})
+        return cls({"v_tet": coef})
 
     @classmethod
     def v_oct(cls, coef=1) -> "VolumeExpr":
-        return cls({"v_oct": Fraction(coef)})
+        return cls({"v_oct": coef})
 
     @classmethod
     def lob(cls, n: int, coef=1) -> "VolumeExpr":
-        return cls({("lob", 1, int(n)): Fraction(coef)})
+        return cls({("lob", 1, int(n)): coef})
 
     @classmethod
     def pilog(cls, n: int, coef=1) -> "VolumeExpr":
-        return cls({("pilog", int(n)): Fraction(coef)})
+        return cls({("pilog", int(n)): coef})
 
     @property
     def terms(self) -> dict:
@@ -321,8 +324,12 @@ def twisted_antiprism_expr(n: int) -> VolumeExpr:
 # ---------------------------------------------------------------------------
 
 
-class NotApplicable(Exception):
-    """A bound's hypotheses are not met for the given input."""
+class NotApplicable(ValueError):
+    """A bound's hypotheses are not met for the given input.
+
+    A ``ValueError``, so a caller that rejects bad input by catching
+    ``ValueError`` also rejects an unmet hypothesis.
+    """
 
 
 @dataclass(frozen=True)
@@ -342,8 +349,11 @@ def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bou
     """Row whose value is ``compute().value``, evaluated only when
     ``applicable``: every report row leaves exact arithmetic here.
 
-    A :class:`NotApplicable` raised by ``compute`` makes the row inapplicable;
-    an inapplicable row has value ``None``.
+    Each hypothesis of a row is gated in one place.  ``compute`` raises
+    :class:`NotApplicable` for a hypothesis on its own numeric arguments,
+    which makes the row inapplicable; ``applicable`` carries only what those
+    arguments cannot show (caller flags, presence of optional data).  An
+    inapplicable row has value ``None``.
     """
     value = None
     if applicable:

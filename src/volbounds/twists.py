@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .maps import CombinatorialMap, MapError, _int_entries, map_to_dict
+from .maps import CombinatorialMap, MapError, _int_entries, map_from_dict, map_to_dict
 
 __all__ = [
     "TwistDecomposition",
@@ -219,8 +219,6 @@ def diagram_to_dict(d: TwistReducedDiagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> TwistReducedDiagram:
-    from .maps import map_from_dict
-
     m = map_from_dict(data)
     axis = _int_entries(data, "axis", "diagram")
     lengths = _int_entries(data, "lengths", "diagram")

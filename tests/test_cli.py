@@ -312,6 +312,7 @@ def test_closed_stdout_exits_one_quietly():
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()
     err = proc.stderr.read().decode()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "error:" not in err
     assert "Exception ignored" not in err

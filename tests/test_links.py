@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,11 @@ from volbounds.twists import TwistDecomposition, twist_stats
 PI = math.pi
 
 
+ALL_FLAGS = HypothesisFlags(
+    reduced=True, alternating=True, two_bridge=True, not_figure_eight=True, not_borromean=True
+)
+
+
 def stats(*lengths):
     return twist_stats(TwistDecomposition(tuple(lengths)))
 
@@ -37,8 +43,18 @@ class TestCrossingBounds:
         assert adams_crossing_expr(11).value == pytest.approx(28 * V_TET, abs=1e-12)
 
     def test_figure_eight_excluded(self):
+        # the exclusion is a caller flag, so the report alone gates it
+        flags = HypothesisFlags(reduced=True, alternating=True)
+        for not_figure_eight in (False, True):
+            rows = link_report(
+                TwistDecomposition((2, 2)), replace(flags, not_figure_eight=not_figure_eight)
+            )
+            row = {r.name: r for r in rows}["adams-crossing"]
+            assert row.applicable == not_figure_eight
+
+    def test_too_few_crossings(self):
         with pytest.raises(NotApplicable):
-            adams_crossing_expr(4, is_figure_eight=True)
+            adams_crossing_expr(2)
 
     def test_five_crossings(self):
         assert adams_crossing_expr(5).value == pytest.approx(4 * V_TET, abs=1e-12)
@@ -47,7 +63,7 @@ class TestCrossingBounds:
         assert adams_octahedral_expr(11).value == pytest.approx(6 * V_OCT + 4 * V_TET, abs=1e-12)
         assert adams_octahedral_expr(11).value == pytest.approx(26.0429406858919, abs=1e-9)
         assert adams_octahedral_expr(5).value == pytest.approx(4 * V_TET, abs=1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotApplicable):
             adams_octahedral_expr(4)
 
 
@@ -89,10 +105,13 @@ class TestAdamsTwist:
         assert value == pytest.approx(7 * V_TET, abs=1e-12)
 
     def test_hypotheses(self):
-        with pytest.raises(NotApplicable):
-            adams_twist_expr(stats(3, 4, 4), reduced_alternating=False)
-        with pytest.raises(NotApplicable):
-            adams_twist_expr(stats(3, 4, 4), is_borromean=True)
+        # reduced alternating and not Borromean are caller flags: the report
+        # gates the row on both
+        d = TwistDecomposition((3, 4, 4))
+        assert {r.name: r for r in link_report(d, ALL_FLAGS)}["adams-twist"].applicable
+        for flag in ("reduced", "alternating", "not_borromean"):
+            rows = link_report(d, replace(ALL_FLAGS, **{flag: False}))
+            assert not {r.name: r for r in rows}["adams-twist"].applicable
         with pytest.raises(NotApplicable):
             adams_twist_expr(stats(5, 5))  # t < 3
         with pytest.raises(NotApplicable):
@@ -176,8 +195,12 @@ class TestFkpLower:
             fkp_lower_expr(3, 4)
         with pytest.raises(NotApplicable):
             fkp_lower_expr(1, 9)
-        with pytest.raises(NotApplicable):
-            fkp_lower_expr(3, 9, reduced_alternating=False)
+        # reduced alternating is a caller flag: the report gates the row on it
+        d = TwistDecomposition((9, 9, 9))
+        assert {r.name: r for r in link_report(d, ALL_FLAGS)}["fkp-lower"].applicable
+        for flag in ("reduced", "alternating"):
+            rows = link_report(d, replace(ALL_FLAGS, **{flag: False}))
+            assert not {r.name: r for r in rows}["fkp-lower"].applicable
 
 
 class TestTwoBridge:
@@ -196,7 +219,7 @@ class TestTwoBridge:
         assert lower < 10.117141 < upper
 
     def test_too_few(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotApplicable):
             two_bridge_bounds_expr(1)
 
 
@@ -235,11 +258,19 @@ class TestWhiteFace:
     def test_octahedral_census(self):
         assert white_face_expr(2, {3: 4}).value == pytest.approx(8 * V_TET, abs=1e-12)
 
+    def test_too_few(self):
+        with pytest.raises(NotApplicable):
+            white_face_expr(1, {6: 1})
+
+
+def test_not_applicable_is_a_value_error():
+    # callers that reject bad input by catching ValueError keep working
+    assert issubclass(NotApplicable, ValueError)
+    assert not issubclass(CensusMismatchError, NotApplicable)
+
 
 class TestLinkReport:
-    FLAGS = HypothesisFlags(
-        reduced=True, alternating=True, two_bridge=True, not_figure_eight=True, not_borromean=True
-    )
+    FLAGS = ALL_FLAGS
 
     def test_worked_example(self):
         rows = link_report(
