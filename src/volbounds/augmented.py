@@ -71,7 +71,17 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     local rotations are those of the bowtie picture (triangles on opposite
     sides of the strand pair); black rotations come from contracting the
     strand segment between two bowties.  All invariants are verified before
-    returning; violations raise :class:`AugmentError`.
+    returning; violations raise :class:`AugmentError`:
+
+    - building P checks it is a genus-0 map (its census and orbits are
+      stored on it), and the census must read V, E, F = 3t, 6t, 3t + 2,
+      4-regular, with no face smaller than a triangle;
+    - each axis corner (a, b) must bound the face {3a, 3b+1, 3b+2}, found
+      through its minimal dart, and the 2t dark triangles must be distinct;
+    - no vertex of P may hold both a red dart (3x+2) and a black one (3x,
+      3x+1), and there must be t red and 2t black vertices;
+    - the white faces, the census's faces less the 2t dark triangles, must
+      have sizes summing to 6t.
     """
     dm = d.map
     t = d.t
@@ -79,55 +89,38 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         raise AugmentError("augmentation needs at least two twists")
     n_darts = dm.dart_count
 
-    cycles = vertex_orbits(dm)  # canonical order, matches d.axis / d.lengths
-
-    # partner(dart) = other dart of its axis corner; first[dart] marks the
+    # partner(dart) = other dart of its axis corner; first[dart] is 1 on the
     # corner's first element (the one whose sigma-image is the partner)
     partner = [-1] * n_darts
-    first = [False] * n_darts
+    first = [0] * n_darts
     corners = []
-    for cyc, axis in zip(cycles, d.axis):
+    # canonical order, matches d.axis / d.lengths
+    for cyc, axis in zip(vertex_orbits(dm), d.axis):
         for a, b in _axis_corners(cyc, axis):
             partner[a], partner[b] = b, a
-            first[a] = True
+            first[a] = 1
             corners.append((a, b))
-
-    # edge ids and black vertices: one per alpha-orbit
-    edge_of = [-1] * n_darts
-    n_edges = 0
-    for dart in range(n_darts):
-        if edge_of[dart] == -1:
-            edge_of[dart] = edge_of[dm.alpha[dart]] = n_edges
-            n_edges += 1
 
     # P darts per diagram dart x: 3x   spoke half at the black vertex,
     #                             3x+1 base half at the black vertex,
     #                             3x+2 spoke half at the red vertex
-    alpha_p = [0] * (3 * n_darts)
-    sigma_p = [0] * (3 * n_darts)
-    for x in range(n_darts):
-        alpha_p[3 * x] = 3 * x + 2
-        alpha_p[3 * x + 2] = 3 * x
-        alpha_p[3 * x + 1] = 3 * partner[x] + 1
-
-    def set_cycle(darts: list[int]) -> None:
-        for i, dd in enumerate(darts):
-            sigma_p[dd] = darts[(i + 1) % len(darts)]
-
-    for cyc in cycles:  # red rotations inherit the diagram vertex rotation
-        set_cycle([3 * x + 2 for x in cyc])
-    for x in range(n_darts):  # black rotations: contracted strand segment
-        y = dm.alpha[x]
-        if x > y:
-            continue
-
-        def half(z: int) -> list[int]:
-            # bowtie-local rotation at the circle/strand crossing point:
-            # (black, base, spoke) for the corner's first dart, else
-            # (black, spoke, base); the black strand edge is contracted away
-            return [3 * z + 1, 3 * z] if first[z] else [3 * z, 3 * z + 1]
-
-        set_cycle(half(x) + half(y))
+    n_p = 3 * n_darts
+    alpha_p = [0] * n_p
+    alpha_p[0::3] = range(2, n_p, 3)
+    alpha_p[1::3] = [3 * y + 1 for y in partner]
+    alpha_p[2::3] = range(0, n_p, 3)
+    sigma_p = [0] * n_p
+    # red rotations inherit the diagram vertex rotation
+    sigma_p[2::3] = [3 * y + 2 for y in dm.sigma]
+    # black rotations: the bowtie-local rotation at the circle/strand
+    # crossing point is (black, base, spoke) for the corner's first dart,
+    # else (black, spoke, base).  Contracting the black strand edge x--y
+    # leaves the cycle head(x), tail(x), head(y), tail(y).
+    for x, y in enumerate(dm.alpha):
+        head = 3 * x + first[x]
+        tail = 6 * x + 1 - head
+        sigma_p[head] = tail
+        sigma_p[tail] = 3 * y + first[y]
 
     try:
         poly = CombinatorialMap(tuple(alpha_p), tuple(sigma_p))
@@ -147,17 +140,17 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         # bowtie against the same diagram bigon region
         raise AugmentError("construction-inconsistency: assembled polyhedron has a bigon face")
 
+    # a face is indexed by its first dart, which is its minimal one
     faces = face_orbits(poly)
-    face_of_dart = {}
+    face_at = [-1] * n_p
     for fi, orbit in enumerate(faces):
-        for dd in orbit:
-            face_of_dart[dd] = fi
+        face_at[orbit[0]] = fi
 
     dark = set()
     for a, b in corners:
         expected = {3 * a, 3 * b + 1, 3 * b + 2}
-        fi = face_of_dart[3 * b + 1]
-        if set(faces[fi]) != expected:
+        fi = face_at[min(expected)]
+        if fi < 0 or set(faces[fi]) != expected:
             raise AugmentError(
                 "construction-inconsistency: axis corner "
                 f"({a},{b}) does not bound a dark triangle"
@@ -166,21 +159,18 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     if len(dark) != 2 * t:
         raise AugmentError("construction-inconsistency: dark triangles not distinct")
 
-    p_verts = vertex_orbits(poly)
-    red = set()
-    black = set()
-    for vi, orbit in enumerate(p_verts):
-        kinds = {md % 3 for md in orbit}
-        if kinds == {2}:
-            red.add(vi)
-        elif kinds <= {0, 1}:
-            black.add(vi)
-        else:
-            raise AugmentError("construction-inconsistency: mixed red/black vertex")
+    # every vertex of P has four darts (checked above)
+    vertex_of = [0] * n_p
+    for vi, (w, x, y, z) in enumerate(vertex_orbits(poly)):
+        vertex_of[w] = vertex_of[x] = vertex_of[y] = vertex_of[z] = vi
+    red = set(vertex_of[2::3])
+    black = set(vertex_of[0::3]).union(vertex_of[1::3])
+    if not red.isdisjoint(black):
+        raise AugmentError("construction-inconsistency: mixed red/black vertex")
     if len(red) != t or len(black) != 2 * t:
         raise AugmentError("construction-inconsistency: wrong red/black vertex split")
 
-    white = Counter(len(faces[fi]) for fi in range(len(faces)) if fi not in dark)
+    white = Counter(census.face_counts) - Counter({3: 2 * t})  # less the dark triangles
     if sum(size * count for size, count in white.items()) != 6 * t:
         raise AugmentError("construction-inconsistency: white face sizes do not sum to 6t")
 

@@ -6,11 +6,12 @@ listing darts counterclockwise around each vertex).  Faces are the orbits of
 ``phi(d) = sigma[alpha[d]]``.  Genus 0 is required throughout:
 V - E + F = 2 with V = #orbits(sigma), E = N/2, F = #orbits(phi).
 
-Building a :class:`CombinatorialMap` checks these invariants once and stores
-the resulting census on the map as ``census``; a map that exists is valid,
-so no operation checks its input again.  Multigraphs are allowed at the map
-level (link-diagram graphs have parallel edges); polyhedral-skeleton checks
-are applied only where an operation needs them.
+Building a :class:`CombinatorialMap` checks these invariants once, and the
+map carries what the check computed: its census and its vertex and face
+orbits.  A map that exists is valid, so no operation checks its input or
+walks its orbits again.  Multigraphs are allowed at the map level
+(link-diagram graphs have parallel edges); polyhedral-skeleton checks are
+applied only where an operation needs them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq, ne
 from pathlib import Path
 
 __all__ = [
@@ -64,16 +66,23 @@ class CombinatorialMap:
     Construction checks every map invariant and raises :class:`MapError`
     with violation ``length-mismatch``, ``not-a-permutation``,
     ``fixed-dart``, ``not-involution``, ``disconnected`` or ``genus`` (in
-    that order of checking).  The census of a built map is ``census``; it
-    takes no part in ``==``, ``hash`` or ``repr``.
+    that order of checking).  A built map carries its census as ``census``
+    and the vertex and face orbits the check traced, which
+    :func:`vertex_orbits` and :func:`face_orbits` hand out; none of them
+    takes part in ``==``, ``hash`` or ``repr``.
     """
 
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
     census: SkeletonCensus = field(init=False, repr=False, compare=False)
+    _vertex_orbits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _face_orbits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "census", _check_map(self.alpha, self.sigma))
+        census, verts, faces = _check_map(self.alpha, self.sigma)
+        object.__setattr__(self, "census", census)
+        object.__setattr__(self, "_vertex_orbits", tuple(verts))
+        object.__setattr__(self, "_face_orbits", tuple(faces))
 
     @property
     def dart_count(self) -> int:
@@ -118,41 +127,41 @@ class SkeletonCensus:
         return set(self.degree_counts) == {4}
 
 
-def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation on 0..N-1, sorted by minimal element; each
-    cycle starts at its minimal element and follows ``perm``."""
-    seen = [False] * len(perm)
+def _orbits(perm: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Cycles of a permutation on 0..N-1, sorted by minimal element, and the
+    index of each element's cycle; each cycle starts at its minimal element
+    and follows ``perm``."""
+    label = [-1] * len(perm)
     cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
+    for start, d in enumerate(perm):
+        if label[start] >= 0:
             continue
-        cycle = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
+        k = label[start] = len(cycles)
+        cycle = [start]
+        while d != start:
+            label[d] = k
             cycle.append(d)
             d = perm[d]
         cycles.append(tuple(cycle))
-    return cycles
+    return cycles, label
 
 
 def vertex_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
     """sigma-orbits in canonical order (sorted by minimal dart).
 
     Each orbit starts at its minimal dart d and reads d, sigma(d),
-    sigma(sigma(d)), ...
+    sigma(sigma(d)), ...  The orbits were traced when ``m`` was built.
     """
-    return _orbits(m.sigma)
+    return list(m._vertex_orbits)
 
 
 def face_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
     """phi-orbits in canonical order (sorted by minimal dart).
 
     Each orbit starts at its minimal dart d and reads d, phi(d),
-    phi(phi(d)), ...
+    phi(phi(d)), ...  The orbits were traced when ``m`` was built.
     """
-    n = m.dart_count
-    return _orbits(tuple(m.sigma[m.alpha[d]] for d in range(n)))
+    return list(m._face_orbits)
 
 
 def _check_permutation(name: str, perm: tuple[int, ...]) -> None:
@@ -161,8 +170,9 @@ def _check_permutation(name: str, perm: tuple[int, ...]) -> None:
         raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
 
 
-def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> SkeletonCensus:
-    """Verify all map invariants of ``(alpha, sigma)`` and return the census."""
+def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[SkeletonCensus, list, list]:
+    """Verify all map invariants of ``(alpha, sigma)``; return the census and
+    the vertex and face orbits."""
     if len(alpha) != len(sigma):
         raise MapError("length-mismatch", "alpha and sigma must have equal length")
     n = len(alpha)
@@ -172,39 +182,44 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> SkeletonCensus
     _check_permutation("sigma", sigma)
     if n % 2 != 0:
         raise MapError("not-involution", "odd dart count cannot pair into edges")
-    for d in range(n):
-        if alpha[d] == d:
-            raise MapError("fixed-dart", f"alpha fixes dart {d}")
-        if alpha[alpha[d]] != d:
-            raise MapError("not-involution", f"alpha^2 moves dart {d}")
+    darts = range(n)
+    if any(map(eq, alpha, darts)) or any(map(ne, map(alpha.__getitem__, alpha), darts)):
+        for d in darts:  # name the first bad dart
+            if alpha[d] == d:
+                raise MapError("fixed-dart", f"alpha fixes dart {d}")
+            if alpha[alpha[d]] != d:
+                raise MapError("not-involution", f"alpha^2 moves dart {d}")
 
-    # connectivity of the group action of <alpha, sigma>
-    seen = [False] * n
-    stack = [0]
+    # connectivity of the group action of <alpha, sigma>, vertex by vertex:
+    # alpha leads from the darts of a vertex to those of its neighbours
+    verts, vertex_of = _orbits(sigma)
+    across = list(map(vertex_of.__getitem__, alpha))
+    seen = [False] * len(verts)
     seen[0] = True
-    reached = 1
+    stack = [0]
+    reached = 0
     while stack:
-        d = stack.pop()
-        for nxt in (alpha[d], sigma[d]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                reached += 1
-                stack.append(nxt)
+        cyc = verts[stack.pop()]
+        reached += len(cyc)
+        for w in map(across.__getitem__, cyc):
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
     if reached != n:
         raise MapError("disconnected", f"only {reached} of {n} darts reachable")
 
-    verts = _orbits(sigma)
-    faces = _orbits(tuple(sigma[alpha[d]] for d in range(n)))
+    faces = _orbits(tuple(map(sigma.__getitem__, alpha)))[0]
     v, e, f = len(verts), n // 2, len(faces)
     if v - e + f != 2:
         raise MapError("genus", f"V-E+F = {v - e + f} != 2 (not a sphere embedding)")
-    return SkeletonCensus(
+    census = SkeletonCensus(
         V=v,
         E=e,
         F=f,
-        degree_counts=dict(Counter(len(c) for c in verts)),
-        face_counts=dict(Counter(len(c) for c in faces)),
+        degree_counts=dict(Counter(map(len, verts))),
+        face_counts=dict(Counter(map(len, faces))),
     )
+    return census, verts, faces
 
 
 def validate_map(m: CombinatorialMap) -> SkeletonCensus:
@@ -264,8 +279,7 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
 
 def dual(m: CombinatorialMap) -> CombinatorialMap:
     """Planar dual: vertices and faces swap; dual(dual(m)) == m on the nose."""
-    phi = tuple(m.sigma[m.alpha[d]] for d in range(m.dart_count))
-    return CombinatorialMap(m.alpha, phi)
+    return CombinatorialMap(m.alpha, tuple(map(m.sigma.__getitem__, m.alpha)))
 
 
 def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:

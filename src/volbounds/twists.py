@@ -161,36 +161,27 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     # Vertex i owns darts 4i..4i+3 in counterclockwise rotation order
     # (right-top, left-top, left-bottom, right-bottom).
     RT, LT, LB, RB = 0, 1, 2, 3
-    sigma = [0] * (4 * t)
-    for i in range(t):
-        for j in range(4):
-            sigma[4 * i + j] = 4 * i + (j + 1) % 4
+    sigma = [x + 1 if x % 4 != RB else x - RB for x in range(4 * t)]
 
-    def dart(i: int, role: int) -> int:
-        return 4 * i + role
-
-    pairs: list[tuple[int, int]] = []
-    # consecutive regions share the middle strand level
-    for i in range(t - 1):
-        if i % 2 == 0:  # region i on the upper band, i+1 on the lower
-            pairs.append((dart(i, RB), dart(i + 1, LT)))
-        else:
-            pairs.append((dart(i, RT), dart(i + 1, LB)))
+    # consecutive regions share the middle strand level: region i on the
+    # upper band and i+1 on the lower for even i, the other way for odd i
+    pairs = [
+        (4 * i + RB, 4 * i + 4 + LT) if i % 2 == 0 else (4 * i + RT, 4 * i + 4 + LB)
+        for i in range(t - 1)
+    ]
     # next-nearest regions share their outer strand level
-    for i in range(t - 2):
-        if i % 2 == 0:
-            pairs.append((dart(i, RT), dart(i + 2, LT)))
-        else:
-            pairs.append((dart(i, RB), dart(i + 2, LB)))
+    pairs += [
+        (4 * i + RT, 4 * i + 8 + LT) if i % 2 == 0 else (4 * i + RB, 4 * i + 8 + LB)
+        for i in range(t - 2)
+    ]
     # left plat closure
-    pairs.append((dart(0, LB), dart(1, LB)))
+    pairs.append((LB, 4 + LB))
     # right plat closure and the strand running over the top of the diagram
+    last, before = 4 * (t - 1), 4 * (t - 2)
     if t % 2 == 1:
-        pairs.append((dart(t - 2, RB), dart(t - 1, RB)))
-        pairs.append((dart(t - 1, RT), dart(0, LT)))
+        pairs += [(before + RB, last + RB), (last + RT, LT)]
     else:
-        pairs.append((dart(t - 2, RT), dart(t - 1, RT)))
-        pairs.append((dart(t - 1, RB), dart(0, LT)))
+        pairs += [(before + RT, last + RT), (last + RB, LT)]
 
     alpha = [-1] * (4 * t)
     for a, b in pairs:

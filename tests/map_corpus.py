@@ -5,6 +5,11 @@ removes every pair of vertices of the underlying simple graph in turn and
 checks that the rest stays connected, O(V^2 E).  It shares no code with the
 face-incidence test in ``volbounds.maps.is_three_connected``.
 
+``oracle_check_map`` and ``oracle_orbits`` are the library's former map
+check and orbit tracer: one loop over the darts for fixed darts and the
+involution, a dart-by-dart connectivity search, and both orbit sets traced
+again by every caller.
+
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
 (3-connected), and maps made from them that are not, or that are only as
 simple graphs (loops and parallel edges added).
@@ -13,10 +18,12 @@ simple graphs (loops and parallel edges added).
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
+    SkeletonCensus,
     antiprism,
     bipyramid,
     cube,
@@ -71,6 +78,81 @@ def brute_force_three_connected(m: CombinatorialMap) -> bool:
         return len(seen) == len(remaining)
 
     return all(connected_without({u, w}) for u in range(nv) for w in range(u + 1, nv))
+
+
+# ---------------------------------------------------------------------------
+# The former map check
+# ---------------------------------------------------------------------------
+
+
+def oracle_orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation on 0..N-1, sorted by minimal element; each
+    cycle starts at its minimal element and follows ``perm``."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            d = perm[d]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def _oracle_check_permutation(name: str, perm: tuple[int, ...]) -> None:
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
+
+
+def oracle_check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> SkeletonCensus:
+    """Verify all map invariants of ``(alpha, sigma)`` and return the census."""
+    if len(alpha) != len(sigma):
+        raise MapError("length-mismatch", "alpha and sigma must have equal length")
+    n = len(alpha)
+    if n == 0:
+        raise MapError("length-mismatch", "map must have at least one edge")
+    _oracle_check_permutation("alpha", alpha)
+    _oracle_check_permutation("sigma", sigma)
+    if n % 2 != 0:
+        raise MapError("not-involution", "odd dart count cannot pair into edges")
+    for d in range(n):
+        if alpha[d] == d:
+            raise MapError("fixed-dart", f"alpha fixes dart {d}")
+        if alpha[alpha[d]] != d:
+            raise MapError("not-involution", f"alpha^2 moves dart {d}")
+
+    # connectivity of the group action of <alpha, sigma>
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    reached = 1
+    while stack:
+        d = stack.pop()
+        for nxt in (alpha[d], sigma[d]):
+            if not seen[nxt]:
+                seen[nxt] = True
+                reached += 1
+                stack.append(nxt)
+    if reached != n:
+        raise MapError("disconnected", f"only {reached} of {n} darts reachable")
+
+    verts = oracle_orbits(sigma)
+    faces = oracle_orbits(tuple(sigma[alpha[d]] for d in range(n)))
+    v, e, f = len(verts), n // 2, len(faces)
+    if v - e + f != 2:
+        raise MapError("genus", f"V-E+F = {v - e + f} != 2 (not a sphere embedding)")
+    return SkeletonCensus(
+        V=v,
+        E=e,
+        F=f,
+        degree_counts=dict(Counter(len(c) for c in verts)),
+        face_counts=dict(Counter(len(c) for c in faces)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +241,19 @@ def glue_along_edge(
 # ---------------------------------------------------------------------------
 
 
-def polyhedra() -> list[CombinatorialMap]:
-    """Family members up to n = 9, their duals and their medials."""
+def family_members(top: int = 9) -> list[CombinatorialMap]:
+    """The family polyhedra up to n = ``top``."""
     members = [tetrahedron(), cube(), octahedron()]
     for build in (pyramid, bipyramid, prism, antiprism):
-        members += [build(n) for n in range(3, 10)]
+        members += [build(n) for n in range(3, top + 1)]
     for build in (two_apex_pyramid, twisted_antiprism):
-        members += [build(n) for n in range(4, 10)]
+        members += [build(n) for n in range(4, top + 1)]
+    return members
+
+
+def polyhedra() -> list[CombinatorialMap]:
+    """Family members up to n = 9, their duals and their medials."""
+    members = family_members()
     return members + [dual(m) for m in members] + [medial(m) for m in members]
 
 

@@ -1,7 +1,10 @@
 import json
 import random
+from math import gcd
 
 import pytest
+from augment_oracle import oracle_augment
+from map_corpus import family_members
 
 from volbounds.augmented import (
     AugmentError,
@@ -10,14 +13,17 @@ from volbounds.augmented import (
     white_census_by_corner_count,
 )
 from volbounds.maps import (
+    dual,
     face_orbits,
     maps_isomorphic,
+    medial,
     octahedron,
     validate_map,
     vertex_orbits,
 )
 from volbounds.twists import (
     TwistReducedDiagram,
+    continued_fraction,
     continued_fraction_value,
     two_bridge_diagram,
 )
@@ -131,3 +137,63 @@ class TestSerialization:
         assert data["white_census"] == {"3": 2, "4": 3}
         assert len(data["red"]) == 3
         assert len(data["dark_faces"]) == 6
+
+
+def _outcome(build, d):
+    """The parts of an augmentation, or the error it raised."""
+    try:
+        p = build(d)
+    except AugmentError as err:
+        return str(err)
+    return p.map, p.red_vertices, p.black_vertices, p.dark_faces, p.white_census
+
+
+class TestMatchesFormerConstruction:
+    """augment agrees with the former dart-by-dart construction."""
+
+    def test_two_bridge_below_200(self):
+        checked = 0
+        for p in range(3, 200):
+            for q in range(1, p):  # both sides of p/2
+                if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+                    continue
+                d = two_bridge_diagram(p, q)
+                assert _outcome(augment, d) == _outcome(oracle_augment, d), (p, q)
+                checked += 1
+        assert checked > 10000
+
+    @pytest.mark.parametrize("t", [100, 300, 1000])
+    def test_large_two_bridge(self, t):
+        digits = [random.Random(t).randint(1, 5) for _ in range(t - 1)] + [2]
+        value = continued_fraction_value(digits)
+        d = two_bridge_diagram(value.numerator, value.denominator)
+        assert d.t == t
+        assert _outcome(augment, d) == _outcome(oracle_augment, d)
+
+    def test_medials_with_random_axes(self):
+        rng = random.Random(2023)
+        diagrams = []
+        members = family_members(8)
+        for m in members + [dual(m) for m in members]:
+            med = medial(m)
+            for _ in range(7):
+                axis = tuple(rng.randint(0, 1) for _ in range(med.census.V))
+                diagrams.append(TwistReducedDiagram(med, axis, (1,) * med.census.V))
+        assert len(diagrams) >= 500
+        for d in diagrams:
+            assert _outcome(augment, d) == _outcome(oracle_augment, d)
+
+    def test_two_bridge_with_random_axes(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for p in range(3, 60):
+            for q in range(1, p):
+                if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+                    continue
+                d = two_bridge_diagram(p, q)
+                axis = tuple(rng.randint(0, 1) for _ in range(d.t))
+                marked = TwistReducedDiagram(d.map, axis, d.lengths)
+                outcomes.append((_outcome(augment, marked), _outcome(oracle_augment, marked)))
+        assert all(mine == oracle for mine, oracle in outcomes)
+        errors = sum(isinstance(mine, str) for mine, _ in outcomes)
+        assert 0 < errors < len(outcomes)  # both accepted and rejected markings

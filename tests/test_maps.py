@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from map_corpus import (
     brute_force_three_connected,
     delete_edge,
     double_edge,
+    oracle_check_map,
+    oracle_orbits,
     three_connectivity_corpus,
 )
 
@@ -145,10 +150,127 @@ class TestCheckedOnce:
         m = antiprism(5)
         assert dual(dual(m)) == m
         twin = CombinatorialMap(m.alpha, m.sigma)
-        object.__setattr__(twin, "census", None)
+        for stored in ("census", "_vertex_orbits", "_face_orbits"):
+            object.__setattr__(twin, stored, None)
         assert twin == m
         assert hash(m) == hash(twin) == hash((m.alpha, m.sigma))
         assert repr(m) == repr(twin) == f"CombinatorialMap(alpha={m.alpha!r}, sigma={m.sigma!r})"
+
+
+class TestOrbitsWalkedOnce:
+    """A map's orbits are traced by its check; nothing traces them again."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        orbits = maps_module._orbits
+
+        def counted(perm):
+            calls.append(len(perm))
+            return orbits(perm)
+
+        monkeypatch.setattr(maps_module, "_orbits", counted)
+        return calls
+
+    def test_augment_walks_the_orbits_of_p_once(self, walks):
+        diagram = two_bridge_diagram(55, 17)
+        walks.clear()
+        p = augment(diagram)
+        assert walks == [p.map.dart_count, p.map.dart_count]  # sigma, then phi
+
+    def test_orbit_accessors_walk_nothing(self, walks):
+        m = prism(7)
+        walks.clear()
+        vertex_orbits(m)
+        face_orbits(m)
+        assert walks == []
+
+    def test_returned_lists_are_fresh(self):
+        m = prism(7)
+        for orbits in (vertex_orbits, face_orbits):
+            first = orbits(m)
+            expected = list(first)
+            first.pop()
+            first.append((0,))
+            assert orbits(m) == expected
+
+
+def _map_check_outcome(alpha, sigma):
+    """The census and orbits the library stores, or its MapError."""
+    try:
+        m = CombinatorialMap(alpha, sigma)
+    except MapError as err:
+        return err.violation, str(err)
+    return m.census, vertex_orbits(m), face_orbits(m)
+
+
+def _oracle_outcome(alpha, sigma):
+    """The same from the former check and orbit tracer."""
+    try:
+        census = oracle_check_map(alpha, sigma)
+    except MapError as err:
+        return err.violation, str(err)
+    phi = tuple(sigma[alpha[d]] for d in range(len(alpha)))
+    return census, oracle_orbits(sigma), oracle_orbits(phi)
+
+
+def _perfbench_malformed_dicts():
+    """The malformed map objects of the benchmark, for a few seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    vb = type("vb", (), {"maps": maps_module})
+    return [
+        (label, data)
+        for seed in range(5)
+        for label, data, _ in workloads.malformed_dicts(vb, random.Random(seed))
+    ]
+
+
+# (alpha, sigma) of maps the check must reject, each named by what breaks
+MALFORMED = {
+    "fixed dart before a non-involution dart": ((0, 2, 3, 1, 5, 4), tuple(range(6))),
+    "non-involution dart before a fixed dart": ((1, 2, 0, 3, 5, 4), tuple(range(6))),
+    "odd dart count": ((1, 0, 2), (0, 1, 2)),
+    # one-vertex torus (V - E + F = 0) beside a one-edge sphere (2)
+    "torus plus sphere": ((2, 3, 0, 1, 5, 4), (1, 2, 3, 0, 4, 5)),
+    "empty": ((), ()),
+    "length mismatch": ((1, 0), (0,)),
+    "alpha not a permutation": ((1, 1), (0, 1)),
+    "sigma not a permutation": ((1, 0), (0, 0)),
+}
+
+
+class TestMapCheckOracle:
+    """The fast paths of the map check agree with the former check."""
+
+    def test_corpus(self):
+        maps = [m for ms in CONNECTIVITY.values() for m in ms]
+        assert len(maps) >= 1000
+        for m in maps:
+            assert _map_check_outcome(m.alpha, m.sigma) == _oracle_outcome(m.alpha, m.sigma)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed(self, name):
+        alpha, sigma = MALFORMED[name]
+        outcome = _map_check_outcome(alpha, sigma)
+        assert isinstance(outcome[0], str)
+        assert outcome == _oracle_outcome(alpha, sigma)
+
+    def test_torus_plus_sphere_is_disconnected_not_genus(self):
+        assert _map_check_outcome(*MALFORMED["torus plus sphere"])[0] == "disconnected"
+
+    def test_perfbench_malformed_dicts(self):
+        kinds = set()
+        for label, data in _perfbench_malformed_dicts():
+            kinds.add(label)
+            if "alpha" not in data or "sigma" not in data:
+                continue  # rejected as a bad file object before any map check
+            alpha, sigma = tuple(data["alpha"]), tuple(data["sigma"])
+            assert _map_check_outcome(alpha, sigma) == _oracle_outcome(alpha, sigma), label
+        assert {"fixed-dart", "not-involution", "disconnected", "genus"} <= kinds
 
 
 class TestBuilders:

@@ -85,6 +85,43 @@ class TestTwistStats:
             assert s.at_least(i) == s.exactly(i) + s.at_least(i + 1)
 
 
+def reference_two_bridge_permutations(t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alpha, sigma) of the t-twist two-bridge diagram, built dart by dart
+    as the library used to build it."""
+    RT, LT, LB, RB = 0, 1, 2, 3
+    sigma = [0] * (4 * t)
+    for i in range(t):
+        for j in range(4):
+            sigma[4 * i + j] = 4 * i + (j + 1) % 4
+
+    def dart(i: int, role: int) -> int:
+        return 4 * i + role
+
+    pairs: list[tuple[int, int]] = []
+    for i in range(t - 1):
+        if i % 2 == 0:
+            pairs.append((dart(i, RB), dart(i + 1, LT)))
+        else:
+            pairs.append((dart(i, RT), dart(i + 1, LB)))
+    for i in range(t - 2):
+        if i % 2 == 0:
+            pairs.append((dart(i, RT), dart(i + 2, LT)))
+        else:
+            pairs.append((dart(i, RB), dart(i + 2, LB)))
+    pairs.append((dart(0, LB), dart(1, LB)))
+    if t % 2 == 1:
+        pairs.append((dart(t - 2, RB), dart(t - 1, RB)))
+        pairs.append((dart(t - 1, RT), dart(0, LT)))
+    else:
+        pairs.append((dart(t - 2, RT), dart(t - 1, RT)))
+        pairs.append((dart(t - 1, RB), dart(0, LT)))
+
+    alpha = [-1] * (4 * t)
+    for a, b in pairs:
+        alpha[a], alpha[b] = b, a
+    return tuple(alpha), tuple(sigma)
+
+
 class TestTwoBridgeDiagram:
     def test_worked_example(self):
         d = two_bridge_diagram(55, 17)
@@ -101,6 +138,23 @@ class TestTwoBridgeDiagram:
     def test_single_twist_degenerate(self):
         with pytest.raises(ValueError):
             two_bridge_diagram(3, 1)
+
+    def test_matches_reference_builder_below_300(self):
+        checked = 0
+        for p in range(2, 300):
+            for q in range(1, p):
+                if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+                    continue
+                d = two_bridge_diagram(p, q)
+                assert (d.map.alpha, d.map.sigma) == reference_two_bridge_permutations(d.t)
+                checked += 1
+        assert checked > 20000
+
+    def test_matches_reference_builder_at_1000_twists(self):
+        value = continued_fraction_value([1] * 999 + [2])
+        d = two_bridge_diagram(value.numerator, value.denominator)
+        assert d.t == 1000
+        assert (d.map.alpha, d.map.sigma) == reference_two_bridge_permutations(1000)
 
     @given(st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=12))
     def test_map_shape(self, digits):
