@@ -53,15 +53,6 @@ class AugmentedPolyhedron:
         return len(self.red_vertices)
 
 
-def _axis_corners(cycle: tuple[int, ...], axis: int) -> list[tuple[int, int]]:
-    """The two opposite corners (a, sigma(a)) selected by the axis bit.
-
-    ``cycle`` is the vertex's sigma-cycle as :func:`vertex_orbits` lists it.
-    """
-    e = list(cycle)
-    return [(e[axis], e[axis + 1]), (e[axis + 2], e[(axis + 3) % 4])]
-
-
 def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     """Build P from a twist-reduced diagram.
 
@@ -73,11 +64,12 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     strand segment between two bowties.  All invariants are verified before
     returning; violations raise :class:`AugmentError`:
 
-    - building P checks it is a genus-0 map (its census and orbits are
-      stored on it), and the census must read V, E, F = 3t, 6t, 3t + 2,
-      4-regular, with no face smaller than a triangle;
-    - each axis corner (a, b) must bound the face {3a, 3b+1, 3b+2}, found
-      through its minimal dart, and the 2t dark triangles must be distinct;
+    - building P checks it is a genus-0 map (one composition for alpha_p,
+      one orbit walk for sigma_p), and the census must read V, E, F = 3t,
+      6t, 3t + 2, 4-regular, with no face smaller than a triangle;
+    - each axis corner (a, b) must bound the face {3a, 3b+1, 3b+2}: the face
+      keyed by its minimal dart must equal it as a sorted triple, and the
+      2t dark triangles must be distinct;
     - no vertex of P may hold both a red dart (3x+2) and a black one (3x,
       3x+1), and there must be t red and 2t black vertices;
     - the white faces, the census's faces less the 2t dark triangles, must
@@ -90,16 +82,16 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     n_darts = dm.dart_count
 
     # partner(dart) = other dart of its axis corner; first[dart] is 1 on the
-    # corner's first element (the one whose sigma-image is the partner)
+    # corner's first element (the one whose sigma-image is the partner).
+    # Vertex orbits e0..e3 come in canonical order, matching d.axis
+    corners = []
+    for (e0, e1, e2, e3), axis in zip(vertex_orbits(dm), d.axis):
+        corners += ((e1, e2), (e3, e0)) if axis else ((e0, e1), (e2, e3))
     partner = [-1] * n_darts
     first = [0] * n_darts
-    corners = []
-    # canonical order, matches d.axis / d.lengths
-    for cyc, axis in zip(vertex_orbits(dm), d.axis):
-        for a, b in _axis_corners(cyc, axis):
-            partner[a], partner[b] = b, a
-            first[a] = 1
-            corners.append((a, b))
+    for a, b in corners:
+        partner[a], partner[b] = b, a
+        first[a] = 1
 
     # P darts per diagram dart x: 3x   spoke half at the black vertex,
     #                             3x+1 base half at the black vertex,
@@ -115,12 +107,11 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     # black rotations: the bowtie-local rotation at the circle/strand
     # crossing point is (black, base, spoke) for the corner's first dart,
     # else (black, spoke, base).  Contracting the black strand edge x--y
-    # leaves the cycle head(x), tail(x), head(y), tail(y).
-    for x, y in enumerate(dm.alpha):
-        head = 3 * x + first[x]
-        tail = 6 * x + 1 - head
-        sigma_p[head] = tail
-        sigma_p[tail] = 3 * y + first[y]
+    # leaves the cycle head(x), tail(x), head(y), tail(y), head(x) = 3x + first[x].
+    head = [3 * y + first[y] for y in dm.alpha]  # head(alpha(x)), by x
+    spokes = range(0, n_p, 3)  # 3x, by x
+    sigma_p[0::3] = [h if f else s + 1 for s, f, h in zip(spokes, first, head)]
+    sigma_p[1::3] = [s if f else h for s, f, h in zip(spokes, first, head)]
 
     try:
         poly = CombinatorialMap(tuple(alpha_p), tuple(sigma_p))
@@ -140,17 +131,15 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         # bowtie against the same diagram bigon region
         raise AugmentError("construction-inconsistency: assembled polyhedron has a bigon face")
 
-    # a face is indexed by its first dart, which is its minimal one
+    # a face is keyed by its first dart, which is its minimal one
     faces = face_orbits(poly)
-    face_at = [-1] * n_p
-    for fi, orbit in enumerate(faces):
-        face_at[orbit[0]] = fi
+    face_at = {orbit[0]: fi for fi, orbit in enumerate(faces)}
 
     dark = set()
     for a, b in corners:
-        expected = {3 * a, 3 * b + 1, 3 * b + 2}
-        fi = face_at[min(expected)]
-        if fi < 0 or set(faces[fi]) != expected:
+        expected = sorted((3 * a, 3 * b + 1, 3 * b + 2))
+        fi = face_at.get(expected[0])
+        if fi is None or sorted(faces[fi]) != expected:
             raise AugmentError(
                 "construction-inconsistency: axis corner "
                 f"({a},{b}) does not bound a dark triangle"

@@ -30,7 +30,6 @@ from .lobachevsky import (
 )
 from .twists import (
     TwistDecomposition,
-    continued_fraction,
     load_diagram,
     save_diagram,
     twist_stats,
@@ -259,7 +258,6 @@ def _flags_from_args(args) -> links.HypothesisFlags:
 
 def _cmd_link_two_bridge(args) -> int:
     p, q = _parse_fraction(args.fraction)
-    digits = continued_fraction(p, q)
     diagram = two_bridge_diagram(p, q)
     poly = augmented.augment(diagram)
     warnings = []
@@ -279,7 +277,7 @@ def _cmd_link_two_bridge(args) -> int:
         flags,
         white_census=poly.white_census,
         jones=_parse_jones(args.jones),
-        description=f"two-bridge b({p}/{q}), continued fraction {digits}",
+        description=f"two-bridge b({p}/{q}), continued fraction {list(diagram.lengths)}",
         warnings=warnings,
     )
     return _report(doc, args)

@@ -9,9 +9,11 @@ V - E + F = 2 with V = #orbits(sigma), E = N/2, F = #orbits(phi).
 Building a :class:`CombinatorialMap` checks these invariants once, and the
 map carries what the check computed: its census and its vertex and face
 orbits.  A map that exists is valid, so no operation checks its input or
-walks its orbits again.  Multigraphs are allowed at the map level
-(link-diagram graphs have parallel edges); polyhedral-skeleton checks are
-applied only where an operation needs them.
+walks its orbits again.  The check sorts nothing: one composition alpha o
+alpha and sigma's one orbit walk accept a valid map, and only what they
+refuse meets the ordered diagnosis.  Multigraphs are allowed at the map
+level (link-diagram graphs have parallel edges); polyhedral-skeleton checks
+are applied only where an operation needs them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import eq, ne
+from operator import eq, itemgetter
 from pathlib import Path
 
 __all__ = [
@@ -64,12 +66,13 @@ class CombinatorialMap:
     """Immutable dart-based embedding: edge involution alpha, rotation sigma.
 
     Construction checks every map invariant and raises :class:`MapError`
-    with violation ``length-mismatch``, ``not-a-permutation``,
-    ``fixed-dart``, ``not-involution``, ``disconnected`` or ``genus`` (in
-    that order of checking).  A built map carries its census as ``census``
-    and the vertex and face orbits the check traced, which
-    :func:`vertex_orbits` and :func:`face_orbits` hand out; none of them
-    takes part in ``==``, ``hash`` or ``repr``.
+    with violation ``length-mismatch``, ``not-a-permutation`` (alpha, then
+    sigma), ``fixed-dart``, ``not-involution``, ``disconnected`` or
+    ``genus``, the first in that order, though alpha is tested by one
+    composition and sigma inside its orbit walk.  A built map carries its
+    census as ``census`` and the vertex and face orbits the check traced,
+    which :func:`vertex_orbits` and :func:`face_orbits` hand out; none of
+    them takes part in ``==``, ``hash`` or ``repr``.
     """
 
     alpha: tuple[int, ...]
@@ -130,18 +133,23 @@ class SkeletonCensus:
 def _orbits(perm: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Cycles of a permutation on 0..N-1, sorted by minimal element, and the
     index of each element's cycle; each cycle starts at its minimal element
-    and follows ``perm``."""
-    label = [-1] * len(perm)
+    and follows ``perm``.  A non-permutation raises ``ValueError``, as a
+    walk meets a dart already labelled or a negative entry (which indexing
+    would wrap) before its start, or ``IndexError`` on an entry >= N."""
+    n = len(perm)
+    label = [-1] * n
     cycles = []
     for start, d in enumerate(perm):
         if label[start] >= 0:
             continue
         k = label[start] = len(cycles)
         cycle = [start]
-        while d != start:
+        while label[d] < 0 <= d:
             label[d] = k
             cycle.append(d)
             d = perm[d]
+        if d != start:
+            raise ValueError(f"{d!r} is reached twice or lies outside 0..{n - 1}")
         cycles.append(tuple(cycle))
     return cycles, label
 
@@ -164,12 +172,6 @@ def face_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
     return list(m._face_orbits)
 
 
-def _check_permutation(name: str, perm: tuple[int, ...]) -> None:
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
-
-
 def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[SkeletonCensus, list, list]:
     """Verify all map invariants of ``(alpha, sigma)``; return the census and
     the vertex and face orbits."""
@@ -178,22 +180,31 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
     n = len(alpha)
     if n == 0:
         raise MapError("length-mismatch", "map must have at least one edge")
-    _check_permutation("alpha", alpha)
-    _check_permutation("sigma", sigma)
-    if n % 2 != 0:
-        raise MapError("not-involution", "odd dart count cannot pair into edges")
     darts = range(n)
-    if any(map(eq, alpha, darts)) or any(map(ne, map(alpha.__getitem__, alpha), darts)):
-        for d in darts:  # name the first bad dart
+    by_alpha = itemgetter(*alpha)  # seq -> (seq[alpha[0]], seq[alpha[1]], ...)
+    try:
+        # alpha o alpha = id makes alpha a permutation (a negative entry
+        # breaks it, one >= n raises), and with no fixed dart n is even
+        if by_alpha(alpha) != tuple(darts) or any(map(eq, alpha, darts)):
+            raise ValueError("alpha is not a fixed-point-free involution")
+        verts, vertex_of = _orbits(sigma)
+    except (ValueError, IndexError, TypeError):
+        # name the first violation in the documented order
+        for name, perm in (("alpha", alpha), ("sigma", sigma)):
+            if sorted(perm) != list(darts):
+                raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
+        if n % 2 != 0:
+            raise MapError("not-involution", "odd dart count cannot pair into edges")
+        for d in darts:
             if alpha[d] == d:
                 raise MapError("fixed-dart", f"alpha fixes dart {d}")
             if alpha[alpha[d]] != d:
                 raise MapError("not-involution", f"alpha^2 moves dart {d}")
+        raise  # entries that are not integers, e.g. 1.0, pass the sorts
 
     # connectivity of the group action of <alpha, sigma>, vertex by vertex:
     # alpha leads from the darts of a vertex to those of its neighbours
-    verts, vertex_of = _orbits(sigma)
-    across = list(map(vertex_of.__getitem__, alpha))
+    across = by_alpha(vertex_of)
     seen = [False] * len(verts)
     seen[0] = True
     stack = [0]
@@ -208,7 +219,7 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
     if reached != n:
         raise MapError("disconnected", f"only {reached} of {n} darts reachable")
 
-    faces = _orbits(tuple(map(sigma.__getitem__, alpha)))[0]
+    faces = _orbits(by_alpha(sigma))[0]
     v, e, f = len(verts), n // 2, len(faces)
     if v - e + f != 2:
         raise MapError("genus", f"V-E+F = {v - e + f} != 2 (not a sphere embedding)")

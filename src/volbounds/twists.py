@@ -161,7 +161,8 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     # Vertex i owns darts 4i..4i+3 in counterclockwise rotation order
     # (right-top, left-top, left-bottom, right-bottom).
     RT, LT, LB, RB = 0, 1, 2, 3
-    sigma = [x + 1 if x % 4 != RB else x - RB for x in range(4 * t)]
+    sigma = list(range(1, 4 * t + 1))
+    sigma[RB::4] = range(0, 4 * t, 4)
 
     # consecutive regions share the middle strand level: region i on the
     # upper band and i+1 on the lower for even i, the other way for odd i

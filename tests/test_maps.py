@@ -240,6 +240,41 @@ MALFORMED = {
     "length mismatch": ((1, 0), (0,)),
     "alpha not a permutation": ((1, 1), (0, 1)),
     "sigma not a permutation": ((1, 0), (0, 0)),
+    # aimed at the fast tests that stand in for the permutation sorts:
+    # alpha o alpha = id, and sigma's walk closing each cycle at its start
+    "sigma duplicate, walk never returns to its start": ((1, 0, 3, 2), (1, 2, 1, 3)),
+    "sigma negative entry aliasing its start": ((1, 0, 3, 2), (1, 2, 3, -4)),
+    # -3 aliases dart 1, not yet walked: the cycle (0, -3) would close
+    "sigma negative entry aliasing an unwalked dart": ((1, 0, 3, 2), (-3, 0, 3, 2)),
+    "sigma negative entry": ((1, 0, 3, 2), (-1, 0, 2, 3)),
+    "sigma far negative entry": ((1, 0, 3, 2), (1, 2, 3, -100)),
+    "sigma entry equal to n": ((1, 0, 3, 2), (1, 2, 3, 4)),
+    "sigma far entry": ((1, 0, 3, 2), (1, 2, 3, 100)),
+    "alpha negative entry": ((-3, 0, 3, 2), (0, 1, 2, 3)),
+    "alpha entry equal to n": ((4, 0, 3, 2), (0, 1, 2, 3)),
+    "bool sigma duplicate": ((True, False), (True, True)),
+    "alpha and sigma not permutations": ((1, 1, 3, 2), (0, 0, 1, 2)),
+    "alpha non-involution, sigma not a permutation": ((1, 2, 3, 0), (0, 0, 1, 2)),
+    "alpha out of range, sigma duplicate": ((1, 0, 3, 7), (1, 2, 1, 3)),
+    "odd dart count, valid-looking alpha": ((1, 0, 3, 2, 4), (1, 2, 3, 4, 0)),
+    "one dart": ((0,), (0,)),
+}
+# the rest fail a fast test and are named by the ordered diagnosis
+UNSORTED_MALFORMED = {"empty", "length mismatch", "torus plus sphere"}
+DIAGNOSED = sorted(MALFORMED.keys() - UNSORTED_MALFORMED)
+
+# valid maps the fast tests must accept: bool entries, and one-dart vertex
+# cycles (the single edge; star trees, centre darts 0..k-1, leaves k..2k-1)
+VALID_EDGE_CASES = {
+    "bool entries": ((True, False), (False, True)),
+    "single edge": ((1, 0), (0, 1)),
+    **{
+        f"star({k})": (
+            tuple(range(k, 2 * k)) + tuple(range(k)),
+            tuple(range(1, k)) + (0,) + tuple(range(k, 2 * k)),
+        )
+        for k in range(2, 7)
+    },
 }
 
 
@@ -259,6 +294,13 @@ class TestMapCheckOracle:
         assert isinstance(outcome[0], str)
         assert outcome == _oracle_outcome(alpha, sigma)
 
+    @pytest.mark.parametrize("name", sorted(VALID_EDGE_CASES))
+    def test_valid_edge_cases(self, name):
+        alpha, sigma = VALID_EDGE_CASES[name]
+        outcome = _map_check_outcome(alpha, sigma)
+        assert isinstance(outcome[0], maps_module.SkeletonCensus)
+        assert outcome == _oracle_outcome(alpha, sigma)
+
     def test_torus_plus_sphere_is_disconnected_not_genus(self):
         assert _map_check_outcome(*MALFORMED["torus plus sphere"])[0] == "disconnected"
 
@@ -271,6 +313,37 @@ class TestMapCheckOracle:
             alpha, sigma = tuple(data["alpha"]), tuple(data["sigma"])
             assert _map_check_outcome(alpha, sigma) == _oracle_outcome(alpha, sigma), label
         assert {"fixed-dart", "not-involution", "disconnected", "genus"} <= kinds
+
+
+class TestNoPermutationSorts:
+    """A valid map is checked without sorting either permutation; only a
+    malformed one reaches the ordered diagnosis, which sorts them."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counted(seq, **kwargs):
+            calls.append(seq)
+            return sorted(seq, **kwargs)
+
+        monkeypatch.setattr(maps_module, "sorted", counted, raising=False)
+        return calls
+
+    def test_valid_maps_sort_nothing(self, sorts):
+        for _, m in ALL_BUILDERS:
+            CombinatorialMap(m.alpha, m.sigma)
+        for alpha, sigma in VALID_EDGE_CASES.values():
+            CombinatorialMap(alpha, sigma)
+        augment(two_bridge_diagram(55, 17))
+        assert sorts == []
+
+    @pytest.mark.parametrize("name", DIAGNOSED)
+    def test_malformed_maps_reach_the_diagnosis(self, sorts, name):
+        alpha, sigma = MALFORMED[name]
+        with pytest.raises(MapError):
+            CombinatorialMap(alpha, sigma)
+        assert sorts
 
 
 class TestBuilders:
