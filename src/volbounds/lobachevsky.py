@@ -5,7 +5,7 @@ combination of a handful of transcendental constants: v_tet = 3*L(pi/3),
 v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 
 * two structurally independent evaluators of the Lobachevsky function
-  (a zeta-accelerated series and an adaptive-quadrature oracle),
+  (a zeta-accelerated series and a Simpson-rule quadrature oracle),
 * the volumes of antiprisms and twisted antiprisms, exact and in floats,
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
   that is only converted to floating point at the boundary, and
@@ -98,36 +98,35 @@ def lobachevsky(theta: float) -> float:
     return sign * total
 
 
-def lobachevsky_quadrature(theta: float) -> float:
-    """Independent evaluation of L(theta) by adaptive quadrature.
+_SIMPSON_PANELS = 1024  # 2049 nodes; error near 1e-15 on [0, pi/2]
 
-    The log singularity at t=0 is handled analytically,
+
+def lobachevsky_quadrature(theta: float) -> float:
+    """Independent evaluation of L(theta) by a composite Simpson rule.
+
+    The angle is brought into [0, pi/2] by pi-periodicity and
+    L(pi - x) = -L(x), and the log singularity at t=0 is handled analytically,
 
         integral_0^x log(2 sin t) dt = x*log(2x) - x + integral_0^x log(sin(t)/t) dt,
 
-    leaving a bounded integrand for the adaptive rule.  Kept deliberately
-    separate from :func:`lobachevsky` so the two can oracle-check each other.
-    scipy is imported here, on first use, so that importing the library and
-    running the CLI do not pay for it.
+    leaving a smooth integrand for Simpson's rule on ``_SIMPSON_PANELS``
+    panels.  Shares no code with :func:`lobachevsky`, so the two can
+    oracle-check each other.
     """
-    from scipy.integrate import quad
-
     if not math.isfinite(theta):
         raise ValueError("lobachevsky_quadrature: theta must be finite")
-    # periodicity only; the integral runs over [0, x) with x in [0, pi)
     x = math.fmod(theta, math.pi)
     if x < 0.0:
         x += math.pi
+    sign = 1.0
+    if x > math.pi / 2.0:
+        sign, x = -1.0, math.pi - x
     if x == 0.0:
         return 0.0
-
-    def log_sinc(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        return math.log(math.sin(t) / t)
-
-    smooth, _err = quad(log_sinc, 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=400)
-    return -(x * math.log(2.0 * x) - x + smooth)
+    h = x / (2 * _SIMPSON_PANELS)
+    f = [math.log(math.sin(k * h) / (k * h)) for k in range(1, 2 * _SIMPSON_PANELS + 1)]
+    smooth = h / 3.0 * (4.0 * math.fsum(f[0::2]) + 2.0 * math.fsum(f[1:-1:2]) + f[-1])
+    return -sign * (x * math.log(2.0 * x) - x + smooth)
 
 
 def v_tet() -> float:

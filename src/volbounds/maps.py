@@ -91,10 +91,6 @@ class CombinatorialMap:
     def dart_count(self) -> int:
         return len(self.alpha)
 
-    def phi(self, dart: int) -> int:
-        """Face permutation phi = sigma o alpha."""
-        return self.sigma[self.alpha[dart]]
-
 
 @dataclass(frozen=True)
 class SkeletonCensus:
@@ -191,7 +187,7 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
     except (ValueError, IndexError, TypeError):
         # name the first violation in the documented order
         for name, perm in (("alpha", alpha), ("sigma", sigma)):
-            if sorted(perm) != list(darts):
+            if not all(isinstance(x, int) for x in perm) or sorted(perm) != list(darts):
                 raise MapError("not-a-permutation", f"{name} is not a permutation of 0..{n - 1}")
         if n % 2 != 0:
             raise MapError("not-involution", "odd dart count cannot pair into edges")
@@ -200,7 +196,6 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
                 raise MapError("fixed-dart", f"alpha fixes dart {d}")
             if alpha[alpha[d]] != d:
                 raise MapError("not-involution", f"alpha^2 moves dart {d}")
-        raise  # entries that are not integers, e.g. 1.0, pass the sorts
 
     # connectivity of the group action of <alpha, sigma>, vertex by vertex:
     # alpha leads from the darts of a vertex to those of its neighbours

@@ -286,7 +286,7 @@ def _src_env() -> dict:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the quadrature oracle; the CLI must not pay its import
+    # the library depends on no third-party package, so the CLI loads no scipy
     code = "import sys, volbounds.cli; print('scipy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +88,23 @@ def test_series_matches_quadrature():
     for _ in range(40):
         theta = rng.uniform(1e-4, PI - 1e-4)
         assert lobachevsky(theta) == pytest.approx(lobachevsky_quadrature(theta), abs=1e-9)
+
+
+def test_quadrature_runs_without_scipy():
+    # the oracle needs only the standard library
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from volbounds.lobachevsky import lobachevsky, lobachevsky_quadrature\n"
+        "for theta in (1e-6, 0.5, 1.0, 2.0, 3.1, -7.0):\n"
+        "    assert abs(lobachevsky_quadrature(theta) - lobachevsky(theta)) < 1e-12, theta\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_maximum_at_pi_over_six():

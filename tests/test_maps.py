@@ -108,6 +108,21 @@ class TestValidation:
             CombinatorialMap((1, 0), (0,))
         assert err.value.violation == "length-mismatch"
 
+    @pytest.mark.parametrize(
+        "alpha, sigma, name",
+        [
+            ((1.0, 0.0), (0, 1), "alpha"),
+            ((1, 0), ("a", 1), "sigma"),
+            ((1, 0), (0.0, 1.0), "sigma"),  # floats that pass the sort
+            ((1.0, 0.0), ("a", 1), "alpha"),  # alpha's violation comes first
+        ],
+    )
+    def test_non_integer_entries(self, alpha, sigma, name):
+        with pytest.raises(MapError) as err:
+            CombinatorialMap(alpha, sigma)
+        assert err.value.violation == "not-a-permutation"
+        assert str(err.value) == f"not-a-permutation: {name} is not a permutation of 0..1"
+
 
 class TestCheckedOnce:
     """A map is checked when it is built; nothing checks a built map again."""

@@ -1,9 +1,13 @@
-"""Cross-check of the exact references against an independent evaluation.
+"""Cross-check of the exact references and the quadrature oracle against an
+independent evaluation.
 
 mpmath's Clausen function gives L(theta) = Cl_2(2 theta) / 2 at 30 digits, a
 route that shares no code with the library's zeta series or its quadrature
 oracle.
 """
+
+import math
+import random
 
 import pytest
 
@@ -16,7 +20,7 @@ from reference_values import (
     V_OCT_EXACT,
     V_TET_EXACT,
 )
-from volbounds.lobachevsky import V_OCT, V_TET
+from volbounds.lobachevsky import V_OCT, V_TET, lobachevsky_quadrature
 
 
 def test_references_match_mpmath_clausen():
@@ -56,3 +60,13 @@ def test_references_match_mpmath_clausen():
         ]
         for name, exact, reference in forms:
             assert abs(exact - reference) < 1e-10, f"{name}: mpmath {exact}, reference {reference}"
+
+
+def test_quadrature_matches_mpmath_clausen():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(605)
+    angles = [rng.uniform(-10.0, 10.0) for _ in range(200)] + [1e-9, math.pi / 2, math.pi - 1e-9]
+    with mpmath.workdps(30):
+        for theta in angles:
+            exact = mpmath.clsin(2, 2 * mpmath.mpf(theta)) / 2
+            assert abs(lobachevsky_quadrature(theta) - exact) < 1e-13, theta
