@@ -40,7 +40,6 @@ from .maps import (
     cube,
     dual,
     is_three_connected,
-    maps_isomorphic,
     medial,
     octahedron,
     prism,

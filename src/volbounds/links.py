@@ -45,7 +45,8 @@ __all__ = [
 
 
 class CensusMismatchError(ValueError):
-    """White-face census violates the handshake sum n*f_n = 6t."""
+    """White-face census is impossible: a face size below 3, a negative
+    count, or a handshake sum n*f_n other than 6t."""
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,15 @@ def jones_bounds_expr(abs_a2: int, abs_penultimate: int) -> tuple[VolumeExpr, Vo
 
 def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
-    augmented-polyhedron bound; rejects censuses violating sum n f_n = 6t."""
+    augmented-polyhedron bound; rejects a census with a size n < 3, a count
+    f_n < 0, or sum n f_n != 6t."""
     if t < 2:
         raise NotApplicable("white-face bound needs at least 2 twists")
+    bad = {n: f for n, f in white_census.items() if n < 3 or f < 0}
+    if bad:
+        raise CensusMismatchError(
+            f"white census entries {bad} need face size >= 3 and count >= 0"
+        )
     handshake = sum(n * f for n, f in white_census.items())
     if handshake != 6 * t:
         raise CensusMismatchError(

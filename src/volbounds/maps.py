@@ -34,7 +34,6 @@ __all__ = [
     "medial",
     "medial_census",
     "dual",
-    "maps_isomorphic",
     "is_three_connected",
     "tetrahedron",
     "cube",
@@ -286,40 +285,6 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
 def dual(m: CombinatorialMap) -> CombinatorialMap:
     """Planar dual: vertices and faces swap; dual(dual(m)) == m on the nose."""
     return CombinatorialMap(m.alpha, tuple(map(m.sigma.__getitem__, m.alpha)))
-
-
-def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
-    """Dart-bijection equivalence of maps, allowing reflection.
-
-    Anchors dart 0 of ``a`` on every dart of ``b`` (for sigma_b and its
-    inverse) and propagates through alpha/sigma; O(darts^2) overall.
-    """
-    n = a.dart_count
-    if n != b.dart_count:
-        return False
-    sigma_b_inv = [0] * n
-    for d in range(n):
-        sigma_b_inv[b.sigma[d]] = d
-
-    for sigma_b in (b.sigma, tuple(sigma_b_inv)):
-        for anchor in range(n):
-            image = [-1] * n
-            image[0] = anchor
-            stack = [0]
-            ok = True
-            while stack and ok:
-                x = stack.pop()
-                y = image[x]
-                for nx, ny in ((a.alpha[x], b.alpha[y]), (a.sigma[x], sigma_b[y])):
-                    if image[nx] == -1:
-                        image[nx] = ny
-                        stack.append(nx)
-                    elif image[nx] != ny:
-                        ok = False
-                        break
-            if ok and len(set(image)) == n:
-                return True
-    return False
 
 
 def is_three_connected(m: CombinatorialMap) -> bool:

@@ -1,4 +1,4 @@
-"""The brute-force 3-connectivity oracle and the map surgery the tests use.
+"""The map oracles and the map surgery the tests use.
 
 ``brute_force_three_connected`` is the library's former implementation: it
 removes every pair of vertices of the underlying simple graph in turn and
@@ -9,6 +9,10 @@ face-incidence test in ``volbounds.maps.is_three_connected``.
 check and orbit tracer: one loop over the darts for fixed darts and the
 involution, a dart-by-dart connectivity search, and both orbit sets traced
 again by every caller.
+
+``maps_isomorphic`` tests two maps for a dart bijection that carries one
+onto the other, reflection allowed, by a pairwise anchor search.  The
+library does not use it; the tests compare constructions with it.
 
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
 (3-connected), and maps made from them that are not, or that are only as
@@ -153,6 +157,40 @@ def oracle_check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> Skeleton
         degree_counts=dict(Counter(len(c) for c in verts)),
         face_counts=dict(Counter(len(c) for c in faces)),
     )
+
+
+def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
+    """Dart-bijection equivalence of maps, allowing reflection.
+
+    Anchors dart 0 of ``a`` on every dart of ``b`` (for sigma_b and its
+    inverse) and propagates through alpha/sigma; O(darts^2) overall.
+    """
+    n = a.dart_count
+    if n != b.dart_count:
+        return False
+    sigma_b_inv = [0] * n
+    for d in range(n):
+        sigma_b_inv[b.sigma[d]] = d
+
+    for sigma_b in (b.sigma, tuple(sigma_b_inv)):
+        for anchor in range(n):
+            image = [-1] * n
+            image[0] = anchor
+            stack = [0]
+            ok = True
+            while stack and ok:
+                x = stack.pop()
+                y = image[x]
+                for nx, ny in ((a.alpha[x], b.alpha[y]), (a.sigma[x], sigma_b[y])):
+                    if image[nx] == -1:
+                        image[nx] = ny
+                        stack.append(nx)
+                    elif image[nx] != ny:
+                        ok = False
+                        break
+            if ok and len(set(image)) == n:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

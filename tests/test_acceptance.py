@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from map_corpus import maps_isomorphic
 from reference_values import (
     ADAMS_CROSSING_C11,
     PRISM_CROSSOVER,
@@ -45,7 +46,6 @@ from volbounds.lobachevsky import (
 from volbounds.maps import (
     antiprism,
     cube,
-    maps_isomorphic,
     medial,
     octahedron,
     prism,

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 from augment_oracle import oracle_augment
-from map_corpus import family_members
+from map_corpus import family_members, maps_isomorphic
 
 from volbounds.augmented import (
     AugmentError,
@@ -15,7 +15,6 @@ from volbounds.augmented import (
 from volbounds.maps import (
     dual,
     face_orbits,
-    maps_isomorphic,
     medial,
     octahedron,
     validate_map,

@@ -7,9 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from map_corpus import maps_isomorphic
 
 from volbounds.cli import run
-from volbounds.maps import load_map, maps_isomorphic, medial, pyramid, validate_map
+from volbounds.maps import load_map, medial, pyramid, validate_map
 
 
 def invoke(argv):

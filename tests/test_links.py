@@ -255,6 +255,20 @@ class TestWhiteFace:
         with pytest.raises(CensusMismatchError):
             white_face_expr(3, {3: 3, 4: 2})
 
+    # each passes the handshake sum 6t = 18 but cannot be a face census:
+    # a 0-gon (L(pi/0) is undefined), bigons, or a negative count
+    IMPOSSIBLE = ({0: 5, 6: 3}, {2: 9}, {3: -2, 4: 6})
+
+    @pytest.mark.parametrize("census", IMPOSSIBLE)
+    def test_impossible_census_rejected(self, census):
+        with pytest.raises(CensusMismatchError):
+            white_face_expr(3, census)
+
+    @pytest.mark.parametrize("census", IMPOSSIBLE)
+    def test_impossible_census_rejected_by_report(self, census):
+        with pytest.raises(CensusMismatchError):
+            link_report(TwistDecomposition((3, 4, 4)), ALL_FLAGS, white_census=census)
+
     def test_octahedral_census(self):
         assert white_face_expr(2, {3: 4}).value == pytest.approx(8 * V_TET, abs=1e-12)
 

@@ -10,6 +10,7 @@ from map_corpus import (
     brute_force_three_connected,
     delete_edge,
     double_edge,
+    maps_isomorphic,
     oracle_check_map,
     oracle_orbits,
     three_connectivity_corpus,
@@ -29,7 +30,6 @@ from volbounds.maps import (
     map_from_dict,
     map_from_face_cycles,
     map_to_dict,
-    maps_isomorphic,
     medial,
     medial_census,
     octahedron,

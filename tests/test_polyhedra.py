@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from map_corpus import delete_edge, double_edge
+from map_corpus import delete_edge, double_edge, family_members, three_connectivity_corpus
 
 from volbounds.lobachevsky import (
     V_OCT,
@@ -277,3 +277,62 @@ class TestRectificationBounds:
         with pytest.raises(ValueError, match="must be 3-connected") as err:
             rectification_bounds(delete_edge(prism(5), 0))
         assert not isinstance(err.value, MapError)
+
+
+@pytest.fixture(scope="module")
+def accepted_skeletons():
+    """Every corpus map and family member to n = 60 that rectification_bounds
+    accepts: its census and its rows by name."""
+    corpus = [m for ms in three_connectivity_corpus().values() for m in ms]
+    accepted = []
+    for m in corpus + family_members(60):
+        try:
+            rows = rectification_bounds(m)
+        except ValueError:
+            continue
+        accepted.append((m.census, {r.name: r for r in rows}))
+    return accepted
+
+
+class TestRefinementRelations:
+    """What the code implies about the refinement rows, pinned exactly.
+
+    (a) edge-bound is medial-vertex-count, (b) triangle-trivalent is
+    medial-triangle-count without its V > 24 tightening, and (c)
+    medial-face-census never exceeds triangle-trivalent.
+    """
+
+    def test_corpus_size(self, accepted_skeletons):
+        assert len(accepted_skeletons) > 600
+
+    def test_edge_bound_is_medial_vertex_count(self, accepted_skeletons):
+        # (a) in row form; TestEdgeBound pins thm_edge_expr(E) == irp_bounds_expr(E)[1]
+        for _, rows in accepted_skeletons:
+            assert rows["edge-bound"].value == rows["medial-vertex-count"].value
+
+    def test_triangle_trivalent_is_untightened_medial_triangle_count(self, accepted_skeletons):
+        # (b): the medial has V = E and p3 + V3 triangles
+        for census, rows in accepted_skeletons:
+            e, v3, p3 = census.E, census.v3, census.p3
+            gap = triangle_trivalent_expr(e, v3, p3) - irp_triangle_expr(e, p3 + v3)
+            assert gap == (VolumeExpr.v_tet(Fraction(5, 2)) if e > 24 else VolumeExpr())
+            assert rows["triangle-trivalent"].value >= rows["medial-triangle-count"].value
+
+    def test_face_term_lemma(self):
+        # (c), term lemma: n L(pi/n) <= n v_tet / 2, as max L = L(pi/6) = v_tet / 2
+        ties = []
+        for n in range(4, 1001):
+            face, trivalent = VolumeExpr.lob(n, n).value, VolumeExpr.v_tet(Fraction(n, 2)).value
+            assert face <= trivalent + 1e-12, n
+            if face > trivalent - 1e-12:
+                ties.append(n)
+        assert ties == [6]
+
+    def test_face_census_never_exceeds_triangle_trivalent(self, accepted_skeletons):
+        # (c), row form; ties exactly when every degree and face size is 3 or 6
+        for census, rows in accepted_skeletons:
+            face = rows["medial-face-census"].value
+            trivalent = rows["triangle-trivalent"].value
+            assert face <= trivalent + 1e-12
+            sizes = set(census.degree_counts) | set(census.face_counts)
+            assert (face > trivalent - 1e-12) == (sizes <= {3, 6})
