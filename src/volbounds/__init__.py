@@ -6,7 +6,7 @@ Library layout:
   of v_tet, v_oct, L(p*pi/q) and pi*log(n/2) (antiprism volumes among them),
   and the :class:`Bound` row shared by the polyhedron and link reports.
 * :mod:`volbounds.maps` -- dart-based combinatorial maps: validation,
-  censuses, medial/dual, family builders, isomorphism.
+  censuses, medial/dual, family builders, the 3-connectivity test.
 * :mod:`volbounds.polyhedra` -- volume bounds for generalized hyperbolic
   polyhedra from their 1-skeletons via rectification.
 * :mod:`volbounds.twists` -- twist decompositions, continued fractions, and
@@ -15,50 +15,10 @@ Library layout:
   augmentation without half-turns.
 * :mod:`volbounds.links` -- link-volume bounds and the aggregated report.
 * :mod:`volbounds.cli` -- the ``volbounds`` command-line tool.
-"""
 
-from .lobachevsky import (
-    V_OCT,
-    V_TET,
-    Bound,
-    VolumeExpr,
-    antiprism_expr,
-    antiprism_volume,
-    lobachevsky,
-    lobachevsky_quadrature,
-    twisted_antiprism_expr,
-    twisted_antiprism_volume,
-    v_oct,
-    v_tet,
-)
-from .maps import (
-    CombinatorialMap,
-    MapError,
-    SkeletonCensus,
-    antiprism,
-    bipyramid,
-    cube,
-    dual,
-    is_three_connected,
-    medial,
-    octahedron,
-    prism,
-    pyramid,
-    tetrahedron,
-    two_apex_pyramid,
-    twisted_antiprism,
-    validate_map,
-)
-from .polyhedra import rectification_bounds
-from .twists import (
-    TwistDecomposition,
-    TwistReducedDiagram,
-    TwistStats,
-    continued_fraction,
-    twist_stats,
-    two_bridge_diagram,
-)
-from .augmented import AugmentedPolyhedron, augment
-from .links import HypothesisFlags, link_report
+The package root imports nothing: import each name from the module that
+defines it, e.g. ``from volbounds.links import link_report``.  A command-line
+call then loads only the modules its command runs.
+"""
 
 __version__ = "0.1.0"

@@ -17,59 +17,51 @@ import dataclasses
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import augmented, links, maps, polyhedra
-from .lobachevsky import (
-    V_OCT,
-    V_TET,
-    antiprism_expr,
-    bound_row,
-    lobachevsky,
-    mark_best,
-    twisted_antiprism_expr,
-)
-from .twists import (
-    TwistDecomposition,
-    load_diagram,
-    save_diagram,
-    twist_stats,
-    two_bridge_diagram,
-)
+# Each command imports the library modules it runs, so that a call loads
+# only those.
 
+# family name -> whether its builder, the `maps` function of that name
+# (with "_" for "-"), takes n
 _FAMILIES = {
-    "tetrahedron": (lambda n: maps.tetrahedron(), False),
-    "cube": (lambda n: maps.cube(), False),
-    "octahedron": (lambda n: maps.octahedron(), False),
-    "pyramid": (maps.pyramid, True),
-    "bipyramid": (maps.bipyramid, True),
-    "prism": (maps.prism, True),
-    "antiprism": (maps.antiprism, True),
-    "two-apex-pyramid": (maps.two_apex_pyramid, True),
-    "twisted-antiprism": (maps.twisted_antiprism, True),
+    "tetrahedron": False,
+    "cube": False,
+    "octahedron": False,
+    "pyramid": True,
+    "bipyramid": True,
+    "prism": True,
+    "antiprism": True,
+    "two-apex-pyramid": True,
+    "twisted-antiprism": True,
 }
 
 # upper-bound row added to a family member's report:
-# (name, hypotheses, citation, exact form of member n)
+# (name, hypotheses, citation, "module.function" giving the exact form of member n)
 _FAMILY_BOUNDS = {
     "prism": (
         "prism-atkinson",
         ("prism",),
         "Atkinson 2011 prism bound",
-        polyhedra.prism_atkinson_expr,
+        "polyhedra.prism_atkinson_expr",
     ),
     "pyramid": (
         "antiprism-volume",
         ("exact rectification volume",),
         "Thurston antiprism volume (exact sup)",
-        antiprism_expr,
+        "lobachevsky.antiprism_expr",
     ),
     "two-apex-pyramid": (
         "twisted-antiprism-volume",
         ("exact rectification volume",),
         "twisted antiprism volume (exact sup)",
-        twisted_antiprism_expr,
+        "lobachevsky.twisted_antiprism_expr",
     ),
 }
+
+# the fields of links.HypothesisFlags, one `link twists` switch each; spelled
+# out so that building the parser imports no library module
+_FLAG_FIELDS = ("reduced", "alternating", "two_bridge", "not_figure_eight", "not_borromean")
 
 
 def _fmt(x: float) -> str:
@@ -148,21 +140,27 @@ def _report(doc: dict, args) -> int:
 
 
 def _cmd_lob(args) -> int:
+    from .lobachevsky import lobachevsky
     print(_fmt(lobachevsky(args.theta)))
     return 0
 
 
 def _cmd_constants(args) -> int:
+    from .lobachevsky import V_OCT, V_TET
     doc = {"v_tet": _fmt(V_TET), "v_oct": _fmt(V_OCT)}
     _render(doc, args.format)
     return 0
 
 
 def _poly_doc(m, description: str, family=None, n=None) -> dict:
+    from . import polyhedra
+    from .lobachevsky import bound_row, mark_best
     doc: dict = {"input": description, "census": _census_block(m.census)}
     bounds = polyhedra.rectification_bounds(m)
     if family in _FAMILY_BOUNDS:
-        name, hypotheses, citation, expr = _FAMILY_BOUNDS[family]
+        name, hypotheses, citation, form = _FAMILY_BOUNDS[family]
+        module, function = form.split(".")
+        expr = getattr(import_module(f"volbounds.{module}"), function)
         extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n))
         bounds = mark_best(bounds + [extra])
     doc["bounds"] = _bound_rows(bounds)
@@ -171,14 +169,19 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
 
 
 def _cmd_poly_family(args) -> int:
+    from . import maps
     if args.name not in _FAMILIES:
         print(f"error: unknown family {args.name!r}; choices: {sorted(_FAMILIES)}", file=sys.stderr)
         return 2
-    builder, needs_n = _FAMILIES[args.name]
+    needs_n = _FAMILIES[args.name]
     if needs_n and args.n is None:
         print(f"error: family {args.name} needs --n", file=sys.stderr)
         return 2
-    m = builder(args.n)
+    if not needs_n and args.n is not None:
+        print(f"error: family {args.name} takes no --n", file=sys.stderr)
+        return 2
+    builder = getattr(maps, args.name.replace("-", "_"))
+    m = builder(args.n) if needs_n else builder()
     desc = args.name if not needs_n else f"{args.name}({args.n})"
     if args.out:
         maps.save_map(m, args.out)
@@ -190,12 +193,14 @@ def _cmd_poly_family(args) -> int:
 
 
 def _cmd_poly_graph(args) -> int:
+    from . import maps
     m = maps.load_map(args.file)
     doc = _poly_doc(m, f"map file {args.file}")
     return _report(doc, args)
 
 
 def _cmd_poly_medial(args) -> int:
+    from . import maps
     m = maps.load_map(args.file)
     med = maps.medial(m)
     if args.out:
@@ -205,6 +210,7 @@ def _cmd_poly_medial(args) -> int:
 
 
 def _cmd_poly_dual(args) -> int:
+    from . import maps
     m = maps.load_map(args.file)
     d = maps.dual(m)
     if args.out:
@@ -231,6 +237,8 @@ def _parse_jones(text: str | None) -> tuple[int, int] | None:
 
 
 def _link_doc(decomposition, flags, white_census=None, jones=None, description="", warnings=()) -> dict:
+    from . import links
+    from .twists import twist_stats
     s = twist_stats(decomposition)
     doc: dict = {
         "input": description,
@@ -249,14 +257,9 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
     return doc
 
 
-_FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(links.HypothesisFlags))
-
-
-def _flags_from_args(args) -> links.HypothesisFlags:
-    return links.HypothesisFlags(**{name: getattr(args, name) for name in _FLAG_FIELDS})
-
-
 def _cmd_link_two_bridge(args) -> int:
+    from . import augmented, links
+    from .twists import two_bridge_diagram
     p, q = _parse_fraction(args.fraction)
     diagram = two_bridge_diagram(p, q)
     poly = augmented.augment(diagram)
@@ -284,11 +287,13 @@ def _cmd_link_two_bridge(args) -> int:
 
 
 def _cmd_link_twists(args) -> int:
+    from . import links
+    from .twists import TwistDecomposition
     lengths = tuple(int(x) for x in args.lengths.split(","))
     decomposition = TwistDecomposition(lengths)
     doc = _link_doc(
         decomposition,
-        _flags_from_args(args),
+        links.HypothesisFlags(**{name: getattr(args, name) for name in _FLAG_FIELDS}),
         jones=_parse_jones(args.jones),
         description=f"twist decomposition {list(lengths)}",
     )
@@ -296,6 +301,8 @@ def _cmd_link_twists(args) -> int:
 
 
 def _cmd_link_augment(args) -> int:
+    from . import augmented, links
+    from .twists import load_diagram, save_diagram, two_bridge_diagram
     if args.fraction:
         p, q = _parse_fraction(args.fraction)
         diagram = two_bridge_diagram(p, q)

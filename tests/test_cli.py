@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from map_corpus import maps_isomorphic
 
-from volbounds.cli import run
+from volbounds.cli import _FLAG_FIELDS, run
+from volbounds.links import HypothesisFlags
 from volbounds.maps import load_map, medial, pyramid, validate_map
 
 
@@ -50,6 +52,12 @@ class TestPolyFamily:
     def test_missing_n(self):
         code, _, err = invoke(["poly", "family", "--name", "prism", "--bounds"])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron"])
+    def test_fixed_family_refuses_n(self, name):
+        assert invoke(["poly", "family", "--name", name, "--n", "5"]) == (
+            2, "", f"error: family {name} takes no --n\n"
+        )
 
     def test_bound_implies_the_report(self):
         prism5 = ["poly", "family", "--name", "prism", "--n", "5"]
@@ -243,12 +251,12 @@ class TestLinkAugment:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_FAMILIES = (("pyramid", 3), ("two-apex-pyramid", 4), ("prism", 3))
 
 
 def _readme_commands() -> list[list[str]]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```")[1]
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
     return [line.split()[1:] for line in block.splitlines() if line.startswith("volbounds ")]
 
 
@@ -275,6 +283,37 @@ def test_golden_transcript(fmt, tmp_path, monkeypatch):
     assert golden_transcript(fmt) == (GOLDEN / f"cli.{fmt}.txt").read_text()
 
 
+HELP_COMMANDS = (
+    [],
+    ["lob"],
+    ["constants"],
+    ["poly"],
+    ["poly", "family"],
+    ["poly", "graph"],
+    ["poly", "medial"],
+    ["poly", "dual"],
+    ["link"],
+    ["link", "two-bridge"],
+    ["link", "twists"],
+    ["link", "augment"],
+)
+
+
+def help_transcript() -> str:
+    """The ``--help`` text of every command and subcommand; argparse wraps it
+    to the terminal width, so callers fix ``COLUMNS``."""
+    parts = []
+    for argv in HELP_COMMANDS:
+        code, out, err = invoke(argv + ["--help"])
+        parts.append(f"$ volbounds {' '.join(argv + ['--help'])}\n[exit {code}]\n{out}{err}")
+    return "".join(parts)
+
+
+def test_golden_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_transcript() == (GOLDEN / "help.txt").read_text()
+
+
 def test_unknown_subcommand():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
@@ -294,6 +333,74 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, volbounds; print([m for m in sys.modules if m.startswith('volbounds.')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_LINK_MODULES = {"links", "twists", "maps", "lobachevsky"}
+_POLY_BOUNDS_MODULES = {"maps", "polyhedra", "lobachevsky"}
+# the library modules a command loads besides the package itself
+COMMAND_MODULES = {
+    "lob": {"lobachevsky"},
+    "constants": {"lobachevsky"},
+    "poly family": {"maps"},
+    "poly family --bounds": _POLY_BOUNDS_MODULES,
+    "poly graph": _POLY_BOUNDS_MODULES,
+    "poly medial": {"maps"},
+    "poly dual": {"maps"},
+    "link twists": _LINK_MODULES,
+    "link two-bridge": _LINK_MODULES | {"augmented"},
+    "link augment": _LINK_MODULES | {"augmented"},
+}
+
+
+def _command_modules(argv: list[str]) -> set[str]:
+    command = " ".join(argv[:1] if argv[0] in ("lob", "constants") else argv[:2])
+    if command == "poly family" and ("--bounds" in argv or "--bound" in argv):
+        command += " --bounds"
+    return COMMAND_MODULES[command]
+
+
+def test_readme_commands_load_only_their_modules(tmp_path):
+    # the README block runs in order: later commands read pyr4.json
+    for argv in _readme_commands():
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "volbounds.cli", *argv],
+            capture_output=True, text=True, env=_src_env(), cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        imported = [
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        loaded = {name.removeprefix("volbounds.") for name in imported if name.startswith("volbounds.")}
+        assert loaded == _command_modules(argv), argv
+
+
+def test_flag_fields_are_the_hypothesis_flags():
+    # the parser spells out the switches so that building it imports no `links`
+    assert _FLAG_FIELDS == tuple(f.name for f in dataclasses.fields(HypothesisFlags))
+
+
+def test_readme_library_example():
+    section = README.read_text().split("## Library example", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("two-bridge-upper 14.655449")
+    assert lines[1].split()[-1].startswith("16.04274")
+    assert lines[2] == "5 8 5"
 
 
 def test_closed_stdout_exits_one_quietly():
@@ -329,3 +436,5 @@ if __name__ == "__main__":
             os.chdir(scratch)
             text = golden_transcript(fmt)
         (GOLDEN / f"cli.{fmt}.txt").write_text(text)
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help.txt").write_text(help_transcript())
