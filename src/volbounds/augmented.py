@@ -15,10 +15,8 @@ only need P's census.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .maps import CombinatorialMap, MapError, face_orbits, map_to_dict, vertex_orbits
 from .twists import TwistReducedDiagram
@@ -173,4 +171,6 @@ def augmented_to_dict(p: AugmentedPolyhedron) -> dict:
 
 
 def save_augmented(p: AugmentedPolyhedron, path) -> None:
-    Path(path).write_text(json.dumps(augmented_to_dict(p)) + "\n")
+    import json
+    with open(path, "w") as fh:
+        fh.write(json.dumps(augmented_to_dict(p)) + "\n")

@@ -13,8 +13,6 @@ hypotheses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from importlib import import_module
@@ -96,6 +94,7 @@ def _bound_rows(bounds) -> list[dict]:
 def _render(doc: dict, fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "json":
+        import json
         json.dump(doc, out, indent=2)
         out.write("\n")
         return
@@ -247,7 +246,7 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
             "t": s.t,
             "c": s.c,
         },
-        "flags": dataclasses.asdict(flags),
+        "flags": flags._asdict(),
     }
     if white_census is not None:
         doc["white_census"] = {str(k): v for k, v in sorted(white_census.items())}

@@ -19,7 +19,7 @@ constants (see :class:`VolumeExpr`); the report converts each to a float in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lobachevsky import Bound, NotApplicable, VolumeExpr, bound_row, mark_best
@@ -49,15 +49,16 @@ class CensusMismatchError(ValueError):
     count, or a handshake sum n*f_n other than 6t."""
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
+class HypothesisFlags(
+    namedtuple(
+        "HypothesisFlags",
+        "reduced alternating two_bridge not_figure_eight not_borromean",
+        defaults=(False,) * 5,
+    )
+):
     """Caller-asserted diagram/link properties; everything defaults to False."""
 
-    reduced: bool = False
-    alternating: bool = False
-    two_bridge: bool = False
-    not_figure_eight: bool = False
-    not_borromean: bool = False
+    __slots__ = ()
 
 
 def adams_crossing_expr(c: int) -> VolumeExpr:

@@ -16,7 +16,7 @@ v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -331,17 +331,17 @@ class NotApplicable(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Bound:
-    """One named bound value with its applicability metadata."""
+class Bound(
+    namedtuple("Bound", "name kind value applicable hypotheses citation best", defaults=(False,))
+):
+    """One named bound value with its applicability metadata.
 
-    name: str
-    kind: str  # "upper" | "lower"
-    value: float | None
-    applicable: bool
-    hypotheses: tuple[str, ...]
-    citation: str
-    best: bool = False
+    ``kind`` is ``"upper"`` or ``"lower"``; ``value`` is a float, or ``None``
+    when the row is not applicable; ``hypotheses`` is a tuple of strings;
+    ``best`` defaults to False.
+    """
+
+    __slots__ = ()
 
 
 def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bound:
@@ -377,5 +377,5 @@ def mark_best(rows: list[Bound]) -> list[Bound]:
     marked = []
     for r in rows:
         flag = r.applicable and math.isclose(r.value, best[r.kind], rel_tol=1e-12)
-        marked.append(r if r.best == flag else replace(r, best=flag))
+        marked.append(r if r.best == flag else r._replace(best=flag))
     return marked

@@ -18,11 +18,8 @@ are applied only where an operation needs them.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from operator import eq, itemgetter
-from pathlib import Path
 
 __all__ = [
     "CombinatorialMap",
@@ -60,7 +57,6 @@ class MapError(ValueError):
         self.violation = violation
 
 
-@dataclass(frozen=True)
 class CombinatorialMap:
     """Immutable dart-based embedding: edge involution alpha, rotation sigma.
 
@@ -71,35 +67,54 @@ class CombinatorialMap:
     composition and sigma inside its orbit walk.  A built map carries its
     census as ``census`` and the vertex and face orbits the check traced,
     which :func:`vertex_orbits` and :func:`face_orbits` hand out; none of
-    them takes part in ``==``, ``hash`` or ``repr``.
+    them takes part in ``==``, ``hash`` or ``repr``.  Assigning or deleting
+    an attribute raises ``AttributeError``.
     """
 
-    alpha: tuple[int, ...]
-    sigma: tuple[int, ...]
-    census: SkeletonCensus = field(init=False, repr=False, compare=False)
-    _vertex_orbits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _face_orbits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alpha", "sigma", "census", "_vertex_orbits", "_face_orbits")
 
-    def __post_init__(self):
-        census, verts, faces = _check_map(self.alpha, self.sigma)
+    def __init__(self, alpha: tuple[int, ...], sigma: tuple[int, ...]):
+        census, verts, faces = _check_map(alpha, sigma)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "census", census)
         object.__setattr__(self, "_vertex_orbits", tuple(verts))
         object.__setattr__(self, "_face_orbits", tuple(faces))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable map")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable map")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.sigma) == (other.alpha, other.sigma)
+
+    def __hash__(self):
+        return hash((self.alpha, self.sigma))
+
+    def __repr__(self):
+        return f"CombinatorialMap(alpha={self.alpha!r}, sigma={self.sigma!r})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which checks the map again
+        return (CombinatorialMap, (self.alpha, self.sigma))
 
     @property
     def dart_count(self) -> int:
         return len(self.alpha)
 
 
-@dataclass(frozen=True)
-class SkeletonCensus:
-    """Vertex/edge/face counts of a map, with per-degree and per-size tallies."""
+class SkeletonCensus(namedtuple("SkeletonCensus", "V E F degree_counts face_counts")):
+    """Vertex/edge/face counts of a map, with per-degree and per-size tallies.
 
-    V: int
-    E: int
-    F: int
-    degree_counts: dict[int, int] = field(default_factory=dict)
-    face_counts: dict[int, int] = field(default_factory=dict)
+    ``degree_counts`` maps a vertex degree to its number of vertices and
+    ``face_counts`` a face size to its number of faces; both are required.
+    """
+
+    __slots__ = ()
 
     @property
     def min_degree(self) -> int:
@@ -612,9 +627,12 @@ def map_from_dict(data: dict) -> CombinatorialMap:
 
 
 def load_map(path) -> CombinatorialMap:
+    import json
     with open(path) as fh:
         return map_from_dict(json.load(fh))
 
 
 def save_map(m: CombinatorialMap, path) -> None:
-    Path(path).write_text(json.dumps(map_to_dict(m)) + "\n")
+    import json
+    with open(path, "w") as fh:
+        fh.write(json.dumps(map_to_dict(m)) + "\n")

@@ -13,12 +13,9 @@ of the underlying link is always the caller's assertion.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from .maps import CombinatorialMap, MapError, _int_entries, map_from_dict, map_to_dict
 
@@ -37,26 +34,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwistDecomposition:
-    """Signed half-turn counts of the twists of a diagram, in diagram order."""
+class TwistDecomposition(namedtuple("TwistDecomposition", "lengths")):
+    """Signed half-turn counts of the twists of a diagram, in diagram order.
 
-    lengths: tuple[int, ...]
+    ``lengths`` is a tuple of nonzero integers; construction, and so
+    ``_replace``, checks it.
+    """
 
-    def __post_init__(self):
-        if not self.lengths:
+    __slots__ = ()
+
+    def __new__(cls, lengths: tuple[int, ...]):
+        if not lengths:
             raise ValueError("a twist decomposition needs at least one twist")
-        if any(not isinstance(n, int) or n == 0 for n in self.lengths):
+        if any(not isinstance(n, int) or n == 0 for n in lengths):
             raise ValueError("twist lengths must be nonzero integers")
+        return super().__new__(cls, lengths)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TwistStats:
-    """Derived statistics: t twists, c crossings, per-length tallies."""
+class TwistStats(namedtuple("TwistStats", "t c by_length")):
+    """Derived statistics: t twists, c crossings, per-length tallies.
 
-    t: int
-    c: int
-    by_length: dict[int, int]
+    ``by_length`` maps an unsigned twist length to its number of twists.
+    """
+
+    __slots__ = ()
 
     def exactly(self, i: int) -> int:
         """t_i: number of twists of length exactly i."""
@@ -109,31 +114,36 @@ def continued_fraction_value(digits: list[int]) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class TwistReducedDiagram:
+class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths")):
     """4-regular diagram map with per-vertex axis bit and signed twist length.
 
-    Vertices are indexed in the order of :func:`~volbounds.maps.vertex_orbits`.
-    ``axis[i]`` selects the opposite corner pair of vertex i carrying the
-    augmentation triangles: with the vertex's sigma-cycle (e0, e1, e2, e3)
-    as ``vertex_orbits`` lists it, axis 0 means corners (e0,e1) and (e2,e3);
+    ``map`` is a :class:`~volbounds.maps.CombinatorialMap`; ``axis`` and
+    ``lengths`` are tuples of integers with one entry per vertex.
+    Construction, and so ``_replace``, checks them.  Vertices are indexed in
+    the order of :func:`~volbounds.maps.vertex_orbits`.  ``axis[i]`` selects
+    the opposite corner pair of vertex i carrying the augmentation
+    triangles: with the vertex's sigma-cycle (e0, e1, e2, e3) as
+    ``vertex_orbits`` lists it, axis 0 means corners (e0,e1) and (e2,e3);
     axis 1 means corners (e1,e2) and (e3,e0).
     """
 
-    map: CombinatorialMap
-    axis: tuple[int, ...]
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        census = self.map.census
+    def __new__(cls, map: CombinatorialMap, axis: tuple[int, ...], lengths: tuple[int, ...]):
+        census = map.census
         if not census.is_four_regular():
             raise MapError("degree", "twist-reduced diagram must be 4-regular")
-        if len(self.axis) != census.V or len(self.lengths) != census.V:
+        if len(axis) != census.V or len(lengths) != census.V:
             raise ValueError("axis and lengths must have one entry per vertex")
-        if any(a not in (0, 1) for a in self.axis):
+        if any(a not in (0, 1) for a in axis):
             raise ValueError("axis entries must be 0 or 1")
-        if any(not isinstance(n, int) or n == 0 for n in self.lengths):
+        if any(not isinstance(n, int) or n == 0 for n in lengths):
             raise ValueError("twist lengths must be nonzero integers")
+        return super().__new__(cls, map, axis, lengths)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def t(self) -> int:
@@ -218,9 +228,12 @@ def diagram_from_dict(data: dict) -> TwistReducedDiagram:
 
 
 def load_diagram(path) -> TwistReducedDiagram:
+    import json
     with open(path) as fh:
         return diagram_from_dict(json.load(fh))
 
 
 def save_diagram(d: TwistReducedDiagram, path) -> None:
-    Path(path).write_text(json.dumps(diagram_to_dict(d)) + "\n")
+    import json
+    with open(path, "w") as fh:
+        fh.write(json.dumps(diagram_to_dict(d)) + "\n")

@@ -34,6 +34,13 @@ THRESHOLD_RHS = 49.385363502196
 # adams_crossing_expr(11) = 28 v_tet. Printed 28.418348 is 28 x 1.014941.
 ADAMS_CROSSING_C11 = 28.418364979470
 
+# two_bridge_bounds_expr(3) = (6 v_tet - 13533/5000, 4 v_oct), the t = 3
+# bounds of the worked example b(55/17). Printed 3.383046 and 14.655452 are
+# off by 3.6e-6 and 2.5e-6; rounded to six places they are 3.383050 and
+# 14.655450, as the CLI prints them.
+TWO_BRIDGE_LOWER_T3 = 3.38304963845792
+TWO_BRIDGE_UPPER_T3 = 14.6554495068355
+
 # Subtraction constant a of the Adams twist bound, by case:
 # case -> (exact value, printed decimal).
 ADAMS_A = {

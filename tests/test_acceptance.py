@@ -17,6 +17,8 @@ from reference_values import (
     PRISM_CROSSOVER,
     THRESHOLD_P3_COEFFICIENT,
     THRESHOLD_RHS,
+    TWO_BRIDGE_LOWER_T3,
+    TWO_BRIDGE_UPPER_T3,
     V_OCT_EXACT,
     V_TET_EXACT,
 )
@@ -216,8 +218,8 @@ def test_c07e_adams_twist(worked_example):
 def test_c07f_two_bridge_bounds(worked_example):
     _, stats, _, _ = worked_example
     lower, upper = (b.value for b in two_bridge_bounds_expr(stats.t))
-    assert abs(lower - 3.383046) < 1e-5
-    assert abs(upper - 14.655452) < 1e-5
+    assert abs(lower - TWO_BRIDGE_LOWER_T3) < 1e-12
+    assert abs(upper - TWO_BRIDGE_UPPER_T3) < 1e-12
 
 
 def test_c07g_jones_bounds(worked_example):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -361,33 +360,57 @@ COMMAND_MODULES = {
 }
 
 
-def _command_modules(argv: list[str]) -> set[str]:
+def _command(argv: list[str]) -> str:
+    if argv[0] == "--format":
+        argv = argv[2:]
     command = " ".join(argv[:1] if argv[0] in ("lob", "constants") else argv[:2])
     if command == "poly family" and ("--bounds" in argv or "--bound" in argv):
         command += " --bounds"
-    return COMMAND_MODULES[command]
+    return command
+
+
+def _command_stdlib(argv: list[str]) -> set[str]:
+    """The stdlib modules of {dataclasses, json} a command may load:
+    dataclasses for the augmented polyhedron, json to read or write a file
+    or to print JSON."""
+    loaded = set()
+    if _command(argv) in ("link two-bridge", "link augment"):
+        loaded.add("dataclasses")
+    if argv[:2] == ["--format", "json"] or {"--file", "--out", "--out-diagram"} & set(argv):
+        loaded.add("json")
+    return loaded
+
+
+def _imported(args: list[str], cwd) -> list[str]:
+    """The modules ``python -X importtime *args`` imports, in order."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=_src_env(), cwd=cwd, timeout=60,
+    )
+    assert proc.returncode == 0, (args, proc.stderr)
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
 
 
 def test_readme_commands_load_only_their_modules(tmp_path):
+    # what a bare interpreter loads (a site .pth may preload stdlib modules)
+    # is no command's doing
+    preloaded = set(_imported(["-c", "pass"], tmp_path))
     # the README block runs in order: later commands read pyr4.json
-    for argv in _readme_commands():
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "volbounds.cli", *argv],
-            capture_output=True, text=True, env=_src_env(), cwd=tmp_path, timeout=60,
-        )
-        assert proc.returncode == 0, (argv, proc.stderr)
-        imported = [
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        ]
+    for argv in _readme_commands() + [["--format", "json", "constants"]]:
+        imported = _imported(["-m", "volbounds.cli", *argv], tmp_path)
         loaded = {name.removeprefix("volbounds.") for name in imported if name.startswith("volbounds.")}
-        assert loaded == _command_modules(argv), argv
+        assert loaded == COMMAND_MODULES[_command(argv)], argv
+        stdlib = {"dataclasses", "json"} & set(imported)
+        assert stdlib - preloaded == _command_stdlib(argv) - preloaded, argv
 
 
 def test_flag_fields_are_the_hypothesis_flags():
     # the parser spells out the switches so that building it imports no `links`
-    assert _FLAG_FIELDS == tuple(f.name for f in dataclasses.fields(HypothesisFlags))
+    assert _FLAG_FIELDS == HypothesisFlags._fields
 
 
 def test_readme_library_example():

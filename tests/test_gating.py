@@ -8,7 +8,6 @@ Jones data.  Regenerate with `python tests/test_gating.py`; any byte of
 difference is a change in which rows apply, to be made on purpose.
 """
 
-from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -36,7 +35,7 @@ DECOMPOSITIONS = (
     (7, 8, 9, 10, 11, 12, 7, 8, 9, 10),
 )
 JONES = (None, (1, 2), (0, 1))
-FLAG_NAMES = tuple(f.name for f in fields(HypothesisFlags))
+FLAG_NAMES = HypothesisFlags._fields
 
 
 def white_census(t: int) -> dict[int, int]:

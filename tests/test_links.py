@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,7 +46,7 @@ class TestCrossingBounds:
         flags = HypothesisFlags(reduced=True, alternating=True)
         for not_figure_eight in (False, True):
             rows = link_report(
-                TwistDecomposition((2, 2)), replace(flags, not_figure_eight=not_figure_eight)
+                TwistDecomposition((2, 2)), flags._replace(not_figure_eight=not_figure_eight)
             )
             row = {r.name: r for r in rows}["adams-crossing"]
             assert row.applicable == not_figure_eight
@@ -110,7 +109,7 @@ class TestAdamsTwist:
         d = TwistDecomposition((3, 4, 4))
         assert {r.name: r for r in link_report(d, ALL_FLAGS)}["adams-twist"].applicable
         for flag in ("reduced", "alternating", "not_borromean"):
-            rows = link_report(d, replace(ALL_FLAGS, **{flag: False}))
+            rows = link_report(d, ALL_FLAGS._replace(**{flag: False}))
             assert not {r.name: r for r in rows}["adams-twist"].applicable
         with pytest.raises(NotApplicable):
             adams_twist_expr(stats(5, 5))  # t < 3
@@ -199,7 +198,7 @@ class TestFkpLower:
         d = TwistDecomposition((9, 9, 9))
         assert {r.name: r for r in link_report(d, ALL_FLAGS)}["fkp-lower"].applicable
         for flag in ("reduced", "alternating"):
-            rows = link_report(d, replace(ALL_FLAGS, **{flag: False}))
+            rows = link_report(d, ALL_FLAGS._replace(**{flag: False}))
             assert not {r.name: r for r in rows}["fkp-lower"].applicable
 
 

@@ -1,5 +1,7 @@
+import copy
 import importlib.util
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -18,6 +20,8 @@ from map_corpus import (
 
 import volbounds.maps as maps_module
 from volbounds.augmented import augment
+from volbounds.links import HypothesisFlags
+from volbounds.lobachevsky import VolumeExpr, bound_row
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
@@ -42,7 +46,12 @@ from volbounds.maps import (
     vertex_orbits,
 )
 from volbounds.polyhedra import rectification_bounds
-from volbounds.twists import continued_fraction_value, two_bridge_diagram
+from volbounds.twists import (
+    TwistDecomposition,
+    continued_fraction_value,
+    twist_stats,
+    two_bridge_diagram,
+)
 
 ALL_BUILDERS = [
     ("tetrahedron", tetrahedron()),
@@ -170,6 +179,62 @@ class TestCheckedOnce:
         assert twin == m
         assert hash(m) == hash(twin) == hash((m.alpha, m.sigma))
         assert repr(m) == repr(twin) == f"CombinatorialMap(alpha={m.alpha!r}, sigma={m.sigma!r})"
+
+
+def _records() -> dict:
+    m = prism(6)
+    diagram = two_bridge_diagram(55, 17)
+    return {
+        "map": m,
+        "diagram": diagram,
+        "decomposition": diagram.decomposition(),
+        "twist stats": twist_stats(diagram.decomposition()),
+        "flags": HypothesisFlags(reduced=True, not_borromean=True),
+        "bound": bound_row("octahedral", "upper", ("prism",), "test", lambda: VolumeExpr.v_oct(2)),
+        "census": m.census,
+        "augmented polyhedron": augment(diagram),
+    }
+
+
+RECORDS = _records()
+
+
+class TestRecordsSurviveCopying:
+    """Maps and the library's records pickle and copy to equal values."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, name, duplicate):
+        record = RECORDS[name]
+        again = duplicate(record)
+        assert type(again) is type(record)
+        assert again == record
+        # a copied map, alone or inside a record, carries the same census and orbits
+        m, m_again = (r if name == "map" else getattr(r, "map", None) for r in (record, again))
+        if m is not None:
+            assert m_again.census == m.census
+            assert vertex_orbits(m_again) == vertex_orbits(m)
+            assert face_orbits(m_again) == face_orbits(m)
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma", "census", "_face_orbits", "other"])
+    def test_map_stays_immutable(self, field):
+        for m in (prism(6), copy.deepcopy(prism(6)), pickle.loads(pickle.dumps(prism(6)))):
+            with pytest.raises(AttributeError):
+                setattr(m, field, None)
+            with pytest.raises(AttributeError):
+                delattr(m, field)
+
+    def test_replace_checks_a_validated_record(self):
+        diagram = two_bridge_diagram(55, 17)
+        with pytest.raises(ValueError, match="axis entries must be 0 or 1"):
+            diagram._replace(axis=(2,) * diagram.t)
+        with pytest.raises(ValueError, match="at least one twist"):
+            TwistDecomposition((3, 4))._replace(lengths=())
+        assert diagram._replace(axis=(0,) * diagram.t).axis == (0, 0, 0)
 
 
 class TestOrbitsWalkedOnce:

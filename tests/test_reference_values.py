@@ -17,6 +17,8 @@ from reference_values import (
     PRISM_CROSSOVER,
     THRESHOLD_P3_COEFFICIENT,
     THRESHOLD_RHS,
+    TWO_BRIDGE_LOWER_T3,
+    TWO_BRIDGE_UPPER_T3,
     V_OCT_EXACT,
     V_TET_EXACT,
 )
@@ -40,6 +42,8 @@ def test_references_match_mpmath_clausen():
             ("threshold p3 coefficient", 3 * vt / (3 * vo - 10 * vt), THRESHOLD_P3_COEFFICIENT),
             ("threshold rhs", 6 * (3 * vo - 4 * vt) / (3 * vo - 10 * vt), THRESHOLD_RHS),
             ("28 v_tet", 28 * vt, ADAMS_CROSSING_C11),
+            ("two-bridge lower t=3", 6 * vt - mpmath.mpf(13533) / 5000, TWO_BRIDGE_LOWER_T3),
+            ("two-bridge upper t=3", 4 * vo, TWO_BRIDGE_UPPER_T3),
             ("a g2=0", 7 * vo - 10 * vt, ADAMS_A["g2=0"][0]),
             ("a g3=0 and t2>=1", 11 * vt, ADAMS_A["g3=0 and t2>=1"][0]),
             (
