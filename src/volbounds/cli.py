@@ -5,9 +5,9 @@ Subcommands mirror the library: ``lob``, ``constants``, ``poly family``,
 ``link twists``, ``link augment``.  Reports render as a fixed-width table or
 a JSON document (``--format json``); numeric output is fixed at six decimals
 (round-half-even).  Exit codes: 0 success, 1 when stdout is closed before
-the output is written (e.g. piped into ``head``), 2 invalid input, 3 when a
-bound requested with ``--bound`` is not applicable under the given
-hypotheses.
+the output is written (e.g. piped into ``head``), 2 invalid input (also input
+too large to build in memory), 3 when a bound requested with ``--bound`` is
+not applicable under the given hypotheses.
 """
 
 from __future__ import annotations
@@ -257,11 +257,12 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
 
 
 def _cmd_link_two_bridge(args) -> int:
-    from . import augmented, links
-    from .twists import two_bridge_diagram
+    # the report needs the twist lengths and P's white census, both read off
+    # the continued fraction: no diagram map, no P
+    from . import links
+    from .twists import TwistDecomposition, two_bridge_lengths, two_bridge_white_census
     p, q = _parse_fraction(args.fraction)
-    diagram = two_bridge_diagram(p, q)
-    poly = augmented.augment(diagram)
+    lengths = two_bridge_lengths(p, q)
     warnings = []
     if q % p in (1 % p, (p - 1) % p):
         warnings.append(f"b({p}/{q}) is a torus link; the hyperbolicity hypotheses fail")
@@ -275,11 +276,11 @@ def _cmd_link_two_bridge(args) -> int:
         not_borromean=True,
     )
     doc = _link_doc(
-        diagram.decomposition(),
+        TwistDecomposition(lengths),
         flags,
-        white_census=poly.white_census,
+        white_census=two_bridge_white_census(len(lengths)),
         jones=_parse_jones(args.jones),
-        description=f"two-bridge b({p}/{q}), continued fraction {list(diagram.lengths)}",
+        description=f"two-bridge b({p}/{q}), continued fraction {list(lengths)}",
         warnings=warnings,
     )
     return _report(doc, args)
@@ -326,72 +327,115 @@ def _cmd_link_augment(args) -> int:
     return 0
 
 
+class _LazyParser(argparse.ArgumentParser):
+    """Subcommand parser that adds its arguments on its first parse.
+
+    ``build(parser)`` adds the arguments, defaults and sub-subparsers, so a
+    call builds only the parsers on its own command path; the subcommand
+    choices and their help lines live in the parent and are there already.
+    """
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        build, self._build = self._build, None
+        if build is not None:
+            build(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _build_lob(p) -> None:
+    p.add_argument("--theta", type=float, required=True)
+    p.set_defaults(func=_cmd_lob)
+
+
+def _build_constants(p) -> None:
+    p.set_defaults(func=_cmd_constants)
+
+
+def _build_poly(p) -> None:
+    sub = p.add_subparsers(dest="poly_command", required=True)
+    sub.add_parser("family", help="build a named family member", build=_build_poly_family)
+    sub.add_parser("graph", help="bounds for a map file", build=_build_poly_graph)
+    sub.add_parser("medial", help="medial map of a map file", build=_build_poly_medial)
+    sub.add_parser("dual", help="dual map of a map file", build=_build_poly_dual)
+
+
+def _build_poly_family(p) -> None:
+    p.add_argument("--name", required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--bounds", action="store_true")
+    p.add_argument("--bound", help="print just this bound (exit 3 if not applicable)")
+    p.add_argument("--out", help="write the map file")
+    p.set_defaults(func=_cmd_poly_family)
+
+
+def _build_poly_graph(p) -> None:
+    p.add_argument("--file", required=True)
+    p.add_argument("--bound")
+    p.set_defaults(func=_cmd_poly_graph)
+
+
+def _build_poly_medial(p) -> None:
+    p.add_argument("--file", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_poly_medial)
+
+
+def _build_poly_dual(p) -> None:
+    p.add_argument("--file", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_poly_dual)
+
+
+def _build_link(p) -> None:
+    sub = p.add_subparsers(dest="link_command", required=True)
+    sub.add_parser(
+        "two-bridge", help="bounds for a two-bridge link b(p/q)", build=_build_link_two_bridge
+    )
+    sub.add_parser("twists", help="bounds from a twist decomposition", build=_build_link_twists)
+    sub.add_parser("augment", help="augmented polyhedron of a diagram", build=_build_link_augment)
+
+
+def _build_link_two_bridge(p) -> None:
+    p.add_argument("--fraction", required=True, help="p/q with gcd(p,q)=1, 0<q<p")
+    p.add_argument("--jones", help="|a_{n+1}|,|a_{m-1}| Jones coefficient magnitudes")
+    p.add_argument("--bound")
+    p.set_defaults(func=_cmd_link_two_bridge)
+
+
+def _build_link_twists(p) -> None:
+    p.add_argument("--lengths", required=True, help="comma-separated signed twist lengths")
+    p.add_argument("--jones")
+    p.add_argument("--bound")
+    for name in _FLAG_FIELDS:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, action="store_true")
+    p.set_defaults(func=_cmd_link_twists)
+
+
+def _build_link_augment(p) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--fraction")
+    group.add_argument("--file", help="twist-reduced diagram file")
+    p.add_argument("--out", help="write the augmented polyhedron file")
+    p.add_argument("--out-diagram", help="write the twist-reduced diagram file")
+    p.set_defaults(func=_cmd_link_augment)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``volbounds`` parser; each subcommand parser fills in on its first parse."""
     parser = argparse.ArgumentParser(
         prog="volbounds",
         description="Volume bounds for generalized hyperbolic polyhedra and links",
     )
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_lob = sub.add_parser("lob", help="evaluate the Lobachevsky function")
-    p_lob.add_argument("--theta", type=float, required=True)
-    p_lob.set_defaults(func=_cmd_lob)
-
-    p_const = sub.add_parser("constants", help="print v_tet and v_oct")
-    p_const.set_defaults(func=_cmd_constants)
-
-    p_poly = sub.add_parser("poly", help="polyhedron operations")
-    poly_sub = p_poly.add_subparsers(dest="poly_command", required=True)
-
-    p_family = poly_sub.add_parser("family", help="build a named family member")
-    p_family.add_argument("--name", required=True)
-    p_family.add_argument("--n", type=int)
-    p_family.add_argument("--bounds", action="store_true")
-    p_family.add_argument("--bound", help="print just this bound (exit 3 if not applicable)")
-    p_family.add_argument("--out", help="write the map file")
-    p_family.set_defaults(func=_cmd_poly_family)
-
-    p_graph = poly_sub.add_parser("graph", help="bounds for a map file")
-    p_graph.add_argument("--file", required=True)
-    p_graph.add_argument("--bound")
-    p_graph.set_defaults(func=_cmd_poly_graph)
-
-    p_medial = poly_sub.add_parser("medial", help="medial map of a map file")
-    p_medial.add_argument("--file", required=True)
-    p_medial.add_argument("--out")
-    p_medial.set_defaults(func=_cmd_poly_medial)
-
-    p_dual = poly_sub.add_parser("dual", help="dual map of a map file")
-    p_dual.add_argument("--file", required=True)
-    p_dual.add_argument("--out")
-    p_dual.set_defaults(func=_cmd_poly_dual)
-
-    p_link = sub.add_parser("link", help="link-volume bounds")
-    link_sub = p_link.add_subparsers(dest="link_command", required=True)
-
-    p_tb = link_sub.add_parser("two-bridge", help="bounds for a two-bridge link b(p/q)")
-    p_tb.add_argument("--fraction", required=True, help="p/q with gcd(p,q)=1, 0<q<p")
-    p_tb.add_argument("--jones", help="|a_{n+1}|,|a_{m-1}| Jones coefficient magnitudes")
-    p_tb.add_argument("--bound")
-    p_tb.set_defaults(func=_cmd_link_two_bridge)
-
-    p_tw = link_sub.add_parser("twists", help="bounds from a twist decomposition")
-    p_tw.add_argument("--lengths", required=True, help="comma-separated signed twist lengths")
-    p_tw.add_argument("--jones")
-    p_tw.add_argument("--bound")
-    for name in _FLAG_FIELDS:
-        p_tw.add_argument(f"--{name.replace('_', '-')}", dest=name, action="store_true")
-    p_tw.set_defaults(func=_cmd_link_twists)
-
-    p_aug = link_sub.add_parser("augment", help="augmented polyhedron of a diagram")
-    group = p_aug.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fraction")
-    group.add_argument("--file", help="twist-reduced diagram file")
-    p_aug.add_argument("--out", help="write the augmented polyhedron file")
-    p_aug.add_argument("--out-diagram", help="write the twist-reduced diagram file")
-    p_aug.set_defaults(func=_cmd_link_augment)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
+    sub.add_parser("lob", help="evaluate the Lobachevsky function", build=_build_lob)
+    sub.add_parser("constants", help="print v_tet and v_oct", build=_build_constants)
+    sub.add_parser("poly", help="polyhedron operations", build=_build_poly)
+    sub.add_parser("link", help="link-volume bounds", build=_build_link)
     return parser
 
 
@@ -407,6 +451,11 @@ def run(argv=None) -> int:
         return _stdout_closed()
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # e.g. a family member with n in the billions; the partial build is
+        # freed by the time the handler runs
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
 
 

@@ -14,10 +14,10 @@ of the underlying link is always the caller's assertion.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from math import gcd
 
-from .maps import CombinatorialMap, MapError, _int_entries, map_from_dict, map_to_dict
+# `maps` is imported where a diagram map is built or read, so that twist
+# data and two-bridge fractions alone load no map code
 
 __all__ = [
     "TwistDecomposition",
@@ -26,6 +26,8 @@ __all__ = [
     "continued_fraction",
     "continued_fraction_value",
     "twist_stats",
+    "two_bridge_lengths",
+    "two_bridge_white_census",
     "two_bridge_diagram",
     "diagram_to_dict",
     "diagram_from_dict",
@@ -106,6 +108,7 @@ def continued_fraction(p: int, q: int) -> list[int]:
 
 def continued_fraction_value(digits: list[int]) -> Fraction:
     """Exact value a_1 + 1/(a_2 + 1/(... + 1/a_n))."""
+    from fractions import Fraction
     if not digits:
         raise ValueError("empty continued fraction")
     acc = Fraction(digits[-1])
@@ -132,6 +135,7 @@ class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths"))
     def __new__(cls, map: CombinatorialMap, axis: tuple[int, ...], lengths: tuple[int, ...]):
         census = map.census
         if not census.is_four_regular():
+            from .maps import MapError
             raise MapError("degree", "twist-reduced diagram must be 4-regular")
         if len(axis) != census.V or len(lengths) != census.V:
             raise ValueError("axis and lengths must have one entry per vertex")
@@ -153,6 +157,52 @@ class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths"))
         return TwistDecomposition(self.lengths)
 
 
+def two_bridge_lengths(p: int, q: int) -> tuple[int, ...]:
+    """Twist lengths of b(p/q)'s Conway normal form: the continued fraction
+    of p/q, refused when it has a single digit (see :func:`two_bridge_diagram`)."""
+    digits = continued_fraction(p, q)
+    if len(digits) < 2:
+        raise ValueError(
+            f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
+        )
+    return tuple(digits)
+
+
+def two_bridge_white_census(t: int) -> dict[int, int]:
+    """White census {3: 2, 4: t - 2, t + 1: 2} of the augmented polyhedron P
+    of a two-bridge diagram with t >= 2 twists, read off without building P.
+
+    Counts add where sizes meet ({3: 4} at t = 2, {3: 2, 4: 3} at t = 3).
+
+    Proof, by the corner-count rule of
+    :func:`~volbounds.augmented.white_census_by_corner_count`: each face of
+    :func:`two_bridge_diagram`'s map gives one white face of P, of size
+    (#axis corners) + 2 (#other corners).  Draw vertex i = 0..t-1 as a
+    horizontal twist with corners N, W, S, E (after its darts RT, LT, LB,
+    RB); W and E are the axis corners, since every axis bit is 1.  Even i
+    sit on the upper band and odd i on the lower, so the corner of i facing
+    the middle strand is S for even i and N for odd i.  The t + 2 faces are:
+
+    - the left bigon {S of 0, W of 1} and the right bigon {E of t-2, the
+      middle corner of t-1}: one axis corner each, size 3;
+    - for i = 0..t-3, the triangle {E of i, the middle corner of i+1, W of
+      i+2}: two axis corners, size 4;
+    - the region above, {N of each even i}, and the region below, {S of each
+      odd i, W of 0}, with E of t-1 above for even t and below for odd t.
+      For even t each holds t/2 other corners and one axis corner; for odd
+      t the one above holds (t + 1)/2 other corners, the one below
+      (t - 1)/2 and two axis corners.  Both have size t + 1.
+
+    That uses each of the 4t corners once.  ``augment`` stays the oracle:
+    the tests compare the two on every coprime p/q with p <= 200.
+    """
+    if t < 2:
+        raise ValueError(f"two_bridge_white_census: need t >= 2 twists, got {t}")
+    census = Counter({3: 2, 4: t - 2})
+    census[t + 1] += 2
+    return {n: f for n, f in sorted(census.items()) if f}
+
+
 def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     """Twist-reduced diagram of the two-bridge link b(p/q) in Conway normal form.
 
@@ -161,12 +211,9 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     map with V = t, E = 2t, F = t + 2.  Needs at least two twists to form a
     nondegenerate diagram graph.
     """
-    digits = continued_fraction(p, q)
+    from .maps import CombinatorialMap
+    digits = two_bridge_lengths(p, q)
     t = len(digits)
-    if t < 2:
-        raise ValueError(
-            f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
-        )
 
     # Vertex i owns darts 4i..4i+3 in counterclockwise rotation order
     # (right-top, left-top, left-bottom, right-bottom).
@@ -204,7 +251,7 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     return TwistReducedDiagram(
         map=diagram_map,
         axis=(1,) * t,
-        lengths=tuple(digits),
+        lengths=digits,
     )
 
 
@@ -214,6 +261,7 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
 
 
 def diagram_to_dict(d: TwistReducedDiagram) -> dict:
+    from .maps import map_to_dict
     out = map_to_dict(d.map)
     out["axis"] = list(d.axis)
     out["lengths"] = list(d.lengths)
@@ -221,6 +269,7 @@ def diagram_to_dict(d: TwistReducedDiagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> TwistReducedDiagram:
+    from .maps import _int_entries, map_from_dict
     m = map_from_dict(data)
     axis = _int_entries(data, "axis", "diagram")
     lengths = _int_entries(data, "lengths", "diagram")

@@ -25,6 +25,7 @@ from volbounds.twists import (
     continued_fraction,
     continued_fraction_value,
     two_bridge_diagram,
+    two_bridge_white_census,
 )
 
 
@@ -65,6 +66,39 @@ class TestThreeTwists:
     def test_matches_corner_oracle(self):
         d = two_bridge_diagram(55, 17)
         assert white_census_by_corner_count(d) == augment(d).white_census
+
+
+class TestTwoBridgeWhiteCensus:
+    """The closed form {3: 2, 4: t - 2, t + 1: 2} against P's census."""
+
+    def test_small_t_merges_sizes(self):
+        assert two_bridge_white_census(2) == {3: 4}
+        assert two_bridge_white_census(3) == {3: 2, 4: 3}
+        assert two_bridge_white_census(4) == {3: 2, 4: 2, 5: 2}
+
+    def test_refuses_a_single_twist(self):
+        for t in (1, 0, -3):
+            with pytest.raises(ValueError, match="need t >= 2"):
+                two_bridge_white_census(t)
+
+    def test_every_coprime_fraction_up_to_200(self):
+        below = above = 0
+        for p in range(3, 201):
+            for q in range(1, p):
+                if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+                    continue
+                d = two_bridge_diagram(p, q)
+                assert two_bridge_white_census(d.t) == augment(d).white_census, (p, q)
+                below += 2 * q < p
+                above += 2 * q > p
+        assert below > 5000 and above > 5000
+
+    @pytest.mark.parametrize("t", [100, 1000])
+    def test_chain_of_twos(self, t):
+        value = continued_fraction_value([2] * t)
+        d = two_bridge_diagram(value.numerator, value.denominator)
+        assert d.t == t
+        assert two_bridge_white_census(t) == augment(d).white_census
 
 
 class TestInvariants:

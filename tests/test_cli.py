@@ -4,14 +4,18 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 import pytest
 from map_corpus import maps_isomorphic
 
-from volbounds.cli import _FLAG_FIELDS, run
+from volbounds import maps
+from volbounds.augmented import augment
+from volbounds.cli import _FLAG_FIELDS, _link_doc, _render, build_parser, run
 from volbounds.links import HypothesisFlags
 from volbounds.maps import load_map, medial, pyramid, validate_map
+from volbounds.twists import continued_fraction, two_bridge_diagram
 
 
 def invoke(argv):
@@ -118,6 +122,18 @@ def test_family_best_column(family, n):
         assert uppers == {EXACT_ROWS[family]}
 
 
+def test_out_of_memory_is_a_usage_error(monkeypatch):
+    # the builder refuses before allocating anything; the real pyramid(10**11)
+    # would ask for terabytes
+    def refuse(n):
+        raise MemoryError
+
+    monkeypatch.setattr(maps, "pyramid", refuse)
+    assert invoke(["poly", "family", "--name", "pyramid", "--n", "100000000000"]) == (
+        2, "", "error: out of memory: the input is too large\n"
+    )
+
+
 class TestPolyFiles:
     def test_medial_round_trip(self, tmp_path):
         src = tmp_path / "pyr4.json"
@@ -192,6 +208,59 @@ class TestLinkTwoBridge:
         code, out, _ = invoke(["link", "two-bridge", "--fraction", "55/17", "--bound", "agol-thurston"])
         assert code == 0
         assert out.strip() == "20.298832"
+
+    def test_single_twist_refused(self):
+        assert invoke(["link", "two-bridge", "--fraction", "3/1"]) == (
+            2, "", "error: two_bridge_diagram: b(3/1) has a single twist region, degenerate as a map\n"
+        )
+
+
+def _two_bridge_doc_from_p(p: int, q: int, jones) -> dict:
+    """The `link two-bridge` report with the white census read off the built P."""
+    diagram = two_bridge_diagram(p, q)
+    warnings = []
+    if q % p in (1 % p, (p - 1) % p):
+        warnings.append(f"b({p}/{q}) is a torus link; the hyperbolicity hypotheses fail")
+    return _link_doc(
+        diagram.decomposition(),
+        HypothesisFlags(True, True, True, p != 5, True),
+        white_census=augment(diagram).white_census,
+        jones=jones,
+        description=f"two-bridge b({p}/{q}), continued fraction {list(diagram.lengths)}",
+        warnings=warnings,
+    )
+
+
+def test_two_bridge_report_matches_the_augmented_census():
+    # one parser for all ~4400 commands: building one per command (as `run`
+    # does) would add about 3 s
+    parser = build_parser()
+
+    def stdout(argv):
+        args = parser.parse_args(argv)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert args.func(args) == 0, argv
+        return out.getvalue()
+
+    checked = 0
+    for p in range(3, 61):
+        for q in range(1, p):
+            if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+                continue
+            for jones in (None, (1, 2)):
+                argv = ["link", "two-bridge", "--fraction", f"{p}/{q}"]
+                if jones:
+                    argv += ["--jones", "1,2"]
+                doc = _two_bridge_doc_from_p(p, q, jones)
+                table = io.StringIO()
+                _render(doc, "table", table)
+                assert stdout(["--format", "table"] + argv) == table.getvalue(), argv
+                # the JSON renderer is the same; compare what it was given
+                printed = json.loads(stdout(["--format", "json"] + argv))
+                assert printed == json.loads(json.dumps(doc)), argv
+                checked += 2
+    assert checked > 4000
 
 
 class TestLinkTwists:
@@ -313,6 +382,48 @@ def test_golden_help(monkeypatch):
     assert help_transcript() == (GOLDEN / "help.txt").read_text()
 
 
+# argparse's own refusals: an unknown or missing command at each level, each
+# leaf without its required option, mutually exclusive inputs, bad values
+# and option abbreviations
+USAGE_COMMANDS = (
+    [],
+    ["frobnicate"],
+    ["poly"],
+    ["poly", "frob"],
+    ["link"],
+    ["link", "frob"],
+    ["lob"],
+    ["poly", "family"],
+    ["poly", "graph"],
+    ["poly", "medial"],
+    ["poly", "dual"],
+    ["link", "two-bridge"],
+    ["link", "twists"],
+    ["link", "augment"],
+    ["link", "augment", "--fraction", "55/17", "--file", "d.json"],
+    ["--format", "xml", "lob", "--theta", "1"],
+    ["--form", "json", "constants"],
+    ["--format=json", "constants"],
+    ["poly", "family", "--name", "prism", "--n", "nine"],
+    ["lob", "--theta", "pi"],
+)
+
+
+def usage_transcript() -> str:
+    """Exit code, stdout and stderr of :data:`USAGE_COMMANDS`; argparse
+    wraps its usage lines to the terminal width, so callers fix ``COLUMNS``."""
+    parts = []
+    for argv in USAGE_COMMANDS:
+        code, out, err = invoke(argv)
+        parts.append(f"$ volbounds {' '.join(argv)}\n[exit {code}]\n{out}{err}")
+    return "".join(parts)
+
+
+def test_golden_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_transcript() == (GOLDEN / "usage.txt").read_text()
+
+
 def test_unknown_subcommand():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
@@ -343,7 +454,9 @@ def test_bare_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
-_LINK_MODULES = {"links", "twists", "maps", "lobachevsky"}
+# the link reports read twist data and the closed-form white census: only
+# `link augment` builds a diagram map and P
+_LINK_MODULES = {"links", "twists", "lobachevsky"}
 _POLY_BOUNDS_MODULES = {"maps", "polyhedra", "lobachevsky"}
 # the library modules a command loads besides the package itself
 COMMAND_MODULES = {
@@ -355,8 +468,8 @@ COMMAND_MODULES = {
     "poly medial": {"maps"},
     "poly dual": {"maps"},
     "link twists": _LINK_MODULES,
-    "link two-bridge": _LINK_MODULES | {"augmented"},
-    "link augment": _LINK_MODULES | {"augmented"},
+    "link two-bridge": _LINK_MODULES,
+    "link augment": _LINK_MODULES | {"maps", "augmented"},
 }
 
 
@@ -371,10 +484,10 @@ def _command(argv: list[str]) -> str:
 
 def _command_stdlib(argv: list[str]) -> set[str]:
     """The stdlib modules of {dataclasses, json} a command may load:
-    dataclasses for the augmented polyhedron, json to read or write a file
-    or to print JSON."""
+    dataclasses for the augmented polyhedron, which only `link augment`
+    builds, json to read or write a file or to print JSON."""
     loaded = set()
-    if _command(argv) in ("link two-bridge", "link augment"):
+    if _command(argv) == "link augment":
         loaded.add("dataclasses")
     if argv[:2] == ["--format", "json"] or {"--file", "--out", "--out-diagram"} & set(argv):
         loaded.add("json")
@@ -461,3 +574,4 @@ if __name__ == "__main__":
         (GOLDEN / f"cli.{fmt}.txt").write_text(text)
     os.environ["COLUMNS"] = "80"
     (GOLDEN / "help.txt").write_text(help_transcript())
+    (GOLDEN / "usage.txt").write_text(usage_transcript())

@@ -15,6 +15,7 @@ from volbounds.twists import (
     diagram_to_dict,
     twist_stats,
     two_bridge_diagram,
+    two_bridge_lengths,
 )
 
 
@@ -136,8 +137,11 @@ class TestTwoBridgeDiagram:
         assert d.lengths == (2, 2)
 
     def test_single_twist_degenerate(self):
-        with pytest.raises(ValueError):
-            two_bridge_diagram(3, 1)
+        message = "two_bridge_diagram: b(3/1) has a single twist region, degenerate as a map"
+        for build in (two_bridge_diagram, two_bridge_lengths):
+            with pytest.raises(ValueError) as info:
+                build(3, 1)
+            assert str(info.value) == message
 
     def test_matches_reference_builder_below_300(self):
         checked = 0
