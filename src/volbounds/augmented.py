@@ -26,7 +26,6 @@ __all__ = [
     "AugmentError",
     "augment",
     "white_census_by_corner_count",
-    "augmented_to_dict",
     "save_augmented",
 ]
 
@@ -162,15 +161,13 @@ def white_census_by_corner_count(d: TwistReducedDiagram) -> dict[int, int]:
     return dict(census)
 
 
-def augmented_to_dict(p: AugmentedPolyhedron) -> dict:
+def save_augmented(p: AugmentedPolyhedron, path) -> None:
+    """Write P as its map file object plus ``red``, ``dark_faces`` and
+    ``white_census`` (keys are face sizes as strings)."""
+    import json
     out = map_to_dict(p.map)
     out["red"] = sorted(p.red_vertices)
     out["dark_faces"] = sorted(p.dark_faces)
     out["white_census"] = {str(k): v for k, v in sorted(p.white_census.items())}
-    return out
-
-
-def save_augmented(p: AugmentedPolyhedron, path) -> None:
-    import json
     with open(path, "w") as fh:
-        fh.write(json.dumps(augmented_to_dict(p)) + "\n")
+        fh.write(json.dumps(out) + "\n")

@@ -57,11 +57,6 @@ _FAMILY_BOUNDS = {
     ),
 }
 
-# the fields of links.HypothesisFlags, one `link twists` switch each; spelled
-# out so that building the parser imports no library module
-_FLAG_FIELDS = ("reduced", "alternating", "two_bridge", "not_figure_eight", "not_borromean")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -291,9 +286,10 @@ def _cmd_link_twists(args) -> int:
     from .twists import TwistDecomposition
     lengths = tuple(int(x) for x in args.lengths.split(","))
     decomposition = TwistDecomposition(lengths)
+    flags = links.HypothesisFlags._make(getattr(args, name) for name in links.HypothesisFlags._fields)
     doc = _link_doc(
         decomposition,
-        links.HypothesisFlags(**{name: getattr(args, name) for name in _FLAG_FIELDS}),
+        flags,
         jones=_parse_jones(args.jones),
         description=f"twist decomposition {list(lengths)}",
     )
@@ -407,10 +403,11 @@ def _build_link_two_bridge(p) -> None:
 
 
 def _build_link_twists(p) -> None:
+    from .links import HypothesisFlags
     p.add_argument("--lengths", required=True, help="comma-separated signed twist lengths")
     p.add_argument("--jones")
     p.add_argument("--bound")
-    for name in _FLAG_FIELDS:
+    for name in HypothesisFlags._fields:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, action="store_true")
     p.set_defaults(func=_cmd_link_twists)
 

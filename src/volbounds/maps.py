@@ -14,6 +14,10 @@ alpha and sigma's one orbit walk accept a valid map, and only what they
 refuse meets the ordered diagnosis.  Multigraphs are allowed at the map
 level (link-diagram graphs have parallel edges); polyhedral-skeleton checks
 are applied only where an operation needs them.
+
+The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
+cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
+and the cube and bipyramids the duals of the octahedron and prisms.
 """
 
 from __future__ import annotations
@@ -402,8 +406,10 @@ def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
 
     Each undirected edge must occur in exactly two face slots; face
     orientations are fixed automatically (BFS on the face adjacency) so that
-    every edge is traversed once in each direction.  Only used by the
-    simple-polyhedron builders; parallel edges are not representable here.
+    every edge is traversed once in each direction.  Parallel edges are not
+    representable here.  It builds the tetrahedron, pyramids, prisms and
+    two-apex pyramids; the other families are made from these by
+    :func:`medial` and :func:`dual`.
     """
     # locate the two (face, position) slots of each undirected edge
     slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -442,29 +448,18 @@ def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
 
     oriented = [list(reversed(cyc)) if flipped[fi] else list(cyc) for fi, cyc in enumerate(faces)]
 
-    # darts = directed edges, numbered in face order
+    # darts = directed edges, numbered in face order, so phi steps along each
+    # face; oriented faces run each edge once each way
     dart_id: dict[tuple[int, int], int] = {}
-    dart_list: list[tuple[int, int]] = []
+    phi: list[int] = []
     for cyc in oriented:
-        for pos in range(len(cyc)):
-            u, w = cyc[pos], cyc[(pos + 1) % len(cyc)]
-            if (u, w) in dart_id:
-                raise ValueError(f"directed edge {(u, w)} traversed twice")
-            dart_id[(u, w)] = len(dart_list)
-            dart_list.append((u, w))
-
-    n = len(dart_list)
-    alpha = [0] * n
-    phi = [0] * n
-    for cyc in oriented:
-        for pos in range(len(cyc)):
-            u, w = cyc[pos], cyc[(pos + 1) % len(cyc)]
-            d = dart_id[(u, w)]
-            alpha[d] = dart_id[(w, u)]
-            nu, nw = cyc[(pos + 1) % len(cyc)], cyc[(pos + 2) % len(cyc)]
-            phi[d] = dart_id[(nu, nw)]
+        k, first = len(cyc), len(phi)
+        for pos in range(k):
+            dart_id[(cyc[pos], cyc[(pos + 1) % k])] = first + pos
+            phi.append(first + (pos + 1) % k)
+    alpha = [dart_id[(w, u)] for u, w in dart_id]
     # phi = sigma o alpha  =>  sigma = phi o alpha
-    sigma = tuple(phi[alpha[d]] for d in range(n))
+    sigma = tuple(phi[a] for a in alpha)
     return CombinatorialMap(tuple(alpha), sigma)
 
 
@@ -473,31 +468,11 @@ def tetrahedron() -> CombinatorialMap:
 
 
 def cube() -> CombinatorialMap:
-    return map_from_face_cycles(
-        [
-            [0, 3, 2, 1],
-            [4, 5, 6, 7],
-            [0, 1, 5, 4],
-            [1, 2, 6, 5],
-            [2, 3, 7, 6],
-            [3, 0, 4, 7],
-        ]
-    )
+    return dual(octahedron())
 
 
 def octahedron() -> CombinatorialMap:
-    return map_from_face_cycles(
-        [
-            [0, 1, 2],
-            [0, 2, 3],
-            [0, 3, 4],
-            [0, 4, 1],
-            [5, 2, 1],
-            [5, 3, 2],
-            [5, 4, 3],
-            [5, 1, 4],
-        ]
-    )
+    return medial(tetrahedron())
 
 
 def pyramid(n: int) -> CombinatorialMap:
@@ -510,12 +485,10 @@ def pyramid(n: int) -> CombinatorialMap:
 
 
 def bipyramid(n: int) -> CombinatorialMap:
-    """n-gonal bipyramid: equator 0..n-1, apexes n (top) and n+1 (bottom)."""
+    """n-gonal bipyramid, dual of the n-gonal prism."""
     if n < 3:
         raise ValueError(f"bipyramid: need n >= 3, got {n}")
-    upper = [[i, (i + 1) % n, n] for i in range(n)]
-    lower = [[(i + 1) % n, i, n + 1] for i in range(n)]
-    return map_from_face_cycles(upper + lower)
+    return dual(prism(n))
 
 
 def prism(n: int) -> CombinatorialMap:
@@ -529,14 +502,10 @@ def prism(n: int) -> CombinatorialMap:
 
 
 def antiprism(n: int) -> CombinatorialMap:
-    """n-antiprism: bottom 0..n-1, top n..2n-1, side belt of 2n triangles."""
+    """n-antiprism, medial of the n-gonal pyramid: two n-gons and 2n triangles."""
     if n < 3:
         raise ValueError(f"antiprism: need n >= 3, got {n}")
-    bottom = [0] + list(range(n - 1, 0, -1))
-    top = [n + i for i in range(n)]
-    ups = [[i, (i + 1) % n, n + i] for i in range(n)]
-    downs = [[(i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
-    return map_from_face_cycles([bottom, top] + ups + downs)
+    return medial(pyramid(n))
 
 
 def two_apex_pyramid(n: int) -> CombinatorialMap:
@@ -557,30 +526,10 @@ def two_apex_pyramid(n: int) -> CombinatorialMap:
 
 
 def twisted_antiprism(n: int) -> CombinatorialMap:
-    """Twisted n-antiprism, the rectification skeleton of the two-apex pyramid.
-
-    Hand-derived face structure: vertices are the two-apex pyramid's edges
-    (base edges B_0..B_{n-1}, one spoke per base vertex S_0..S_{n-1}, the
-    apex edge A); 4-regular with 2n+3 faces.
-    """
+    """Twisted n-antiprism, medial of the two-apex pyramid: 2n+1 vertices, 2n+3 faces."""
     if n < 4:
         raise ValueError(f"twisted_antiprism: need n >= 4, got {n}")
-    B = list(range(n))
-    S = list(range(n, 2 * n))
-    A = 2 * n
-    faces: list[list[int]] = []
-    # one triangle per base vertex i: edges B_{i-1}, B_i, S_i
-    for i in range(n):
-        faces.append([B[(i - 1) % n], B[i], S[i]])
-    faces.append([S[0], S[1], A])  # around the low apex
-    faces.append(S[2:] + [A])  # around the high apex
-    faces.append(B)  # the base n-gon
-    faces.append([B[0], S[1], S[0]])  # triangle face of the pyramid at base edge 0
-    faces.append([B[1], S[2], A, S[1]])  # quadrilateral side face
-    for i in range(2, n - 1):
-        faces.append([B[i], S[i + 1], S[i]])
-    faces.append([B[n - 1], S[0], A, S[n - 1]])  # other quadrilateral
-    return map_from_face_cycles(faces)
+    return medial(two_apex_pyramid(n))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ again by every caller.
 onto the other, reflection allowed, by a pairwise anchor search.  The
 library does not use it; the tests compare constructions with it.
 
+``medial_from_orbits`` and ``dual_from_orbits`` build the medial and the
+dual from a map's orbits alone, as face cycles for ``map_from_face_cycles``.
+The library builds the octahedron, antiprisms, twisted antiprisms, cube and
+bipyramids with ``medial`` and ``dual``, so the tests compare those two with
+these oracles rather than with the library's builders.
+
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
 (3-connected), and maps made from them that are not, or that are only as
 simple graphs (loops and parallel edges added).
@@ -82,6 +88,24 @@ def brute_force_three_connected(m: CombinatorialMap) -> bool:
         return len(seen) == len(remaining)
 
     return all(connected_without({u, w}) for u in range(nv) for w in range(u + 1, nv))
+
+
+def medial_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
+    """Medial of a polyhedral map: a face per vertex and per face of ``m``,
+    listing its edges, each edge named by its smaller dart."""
+    edge = [min(d, a) for d, a in enumerate(m.alpha)]
+    orbits = vertex_orbits(m) + face_orbits(m)
+    return map_from_face_cycles([[edge[d] for d in orbit] for orbit in orbits])
+
+
+def dual_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
+    """Dual of a polyhedral map: a face per vertex of ``m``, listing the
+    faces of its darts."""
+    face_of = [0] * m.dart_count
+    for i, orbit in enumerate(face_orbits(m)):
+        for d in orbit:
+            face_of[d] = i
+    return map_from_face_cycles([[face_of[d] for d in orbit] for orbit in vertex_orbits(m)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from map_corpus import maps_isomorphic
+from map_corpus import maps_isomorphic, medial_from_orbits
 from reference_values import (
     ADAMS_CROSSING_C11,
     PRISM_CROSSOVER,
@@ -46,15 +46,12 @@ from volbounds.lobachevsky import (
     v_tet,
 )
 from volbounds.maps import (
-    antiprism,
     cube,
     medial,
-    octahedron,
     prism,
     pyramid,
     tetrahedron,
     two_apex_pyramid,
-    twisted_antiprism,
     validate_map,
 )
 from volbounds.polyhedra import rectification_bounds, triangle_trivalent_expr
@@ -114,12 +111,12 @@ def test_c03_antiprism_anchors():
 
 def test_c04_medial_goldens():
     start = time.monotonic()
-    assert maps_isomorphic(medial(tetrahedron()), octahedron())
-    assert maps_isomorphic(medial(pyramid(4)), antiprism(4))
+    # the octahedron and the (twisted) antiprisms are built as medials, so
+    # the medials are compared with an independent construction
+    for m in [tetrahedron(), pyramid(4)] + [two_apex_pyramid(n) for n in range(4, 9)]:
+        assert maps_isomorphic(medial(m), medial_from_orbits(m))
     q14 = validate_map(medial(cube()))
     assert q14.V == 12 and q14.face_counts == {3: 8, 4: 6}
-    for n in range(4, 9):
-        assert maps_isomorphic(medial(two_apex_pyramid(n)), twisted_antiprism(n))
     assert time.monotonic() - start < 5.0
 
 

@@ -9,7 +9,7 @@ from map_corpus import family_members, maps_isomorphic
 from volbounds.augmented import (
     AugmentError,
     augment,
-    augmented_to_dict,
+    save_augmented,
     white_census_by_corner_count,
 )
 from volbounds.maps import (
@@ -163,9 +163,10 @@ class TestBadAxis:
 
 
 class TestSerialization:
-    def test_dict_shape(self):
+    def test_dict_shape(self, tmp_path):
         p = augment(two_bridge_diagram(55, 17))
-        data = json.loads(json.dumps(augmented_to_dict(p)))
+        save_augmented(p, tmp_path / "p.json")
+        data = json.loads((tmp_path / "p.json").read_text())
         assert set(data) == {"darts", "alpha", "sigma", "red", "dark_faces", "white_census"}
         assert data["white_census"] == {"3": 2, "4": 3}
         assert len(data["red"]) == 3

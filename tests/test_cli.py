@@ -12,7 +12,7 @@ from map_corpus import maps_isomorphic
 
 from volbounds import maps
 from volbounds.augmented import augment
-from volbounds.cli import _FLAG_FIELDS, _link_doc, _render, build_parser, run
+from volbounds.cli import _link_doc, _render, build_parser, run
 from volbounds.links import HypothesisFlags
 from volbounds.maps import load_map, medial, pyramid, validate_map
 from volbounds.twists import continued_fraction, two_bridge_diagram
@@ -519,11 +519,6 @@ def test_readme_commands_load_only_their_modules(tmp_path):
         assert loaded == COMMAND_MODULES[_command(argv)], argv
         stdlib = {"dataclasses", "json"} & set(imported)
         assert stdlib - preloaded == _command_stdlib(argv) - preloaded, argv
-
-
-def test_flag_fields_are_the_hypothesis_flags():
-    # the parser spells out the switches so that building it imports no `links`
-    assert _FLAG_FIELDS == HypothesisFlags._fields
 
 
 def test_readme_library_example():

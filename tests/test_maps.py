@@ -12,7 +12,9 @@ from map_corpus import (
     brute_force_three_connected,
     delete_edge,
     double_edge,
+    dual_from_orbits,
     maps_isomorphic,
+    medial_from_orbits,
     oracle_check_map,
     oracle_orbits,
     three_connectivity_corpus,
@@ -471,6 +473,22 @@ class TestBuilders:
             with pytest.raises(ValueError):
                 builder(floor - 1)
 
+    @pytest.mark.parametrize(
+        "faces,message",
+        [
+            ([[0, 1, 0], [0, 1, 2]], "face 0 is not a simple cycle"),
+            ([[0, 1, 2], [0, 2, 1], [0, 1, 3]], "edge (0, 1) occurs 3 times"),
+            # the hemicube: three squares on the projective plane
+            ([[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]], "cannot be oriented consistently"),
+            # two triangles glued along their boundary, twice over
+            ([[0, 1, 2], [2, 1, 0], [3, 4, 5], [5, 4, 3]], "face complex is disconnected"),
+        ],
+    )
+    def test_face_cycles_refused(self, faces, message):
+        with pytest.raises(ValueError) as err:
+            map_from_face_cycles(faces)
+        assert message in str(err.value)
+
 
 class TestMedial:
     @pytest.mark.parametrize("name,m", ALL_BUILDERS)
@@ -521,11 +539,17 @@ class TestMedial:
         rhs = 8 + sum((k - 4) * v for k, v in mc.face_counts.items() if k >= 5)
         assert mc.p3 == rhs
 
+    # the octahedron and the antiprisms are built as medials, so medial is
+    # compared with the orbit oracle rather than with those builders
+    @pytest.mark.parametrize("name,m", ALL_BUILDERS)
+    def test_matches_orbit_oracle(self, name, m):
+        assert maps_isomorphic(medial(m), medial_from_orbits(m))
+
     def test_tetrahedron_gives_octahedron(self):
-        assert maps_isomorphic(medial(tetrahedron()), octahedron())
+        assert maps_isomorphic(medial(tetrahedron()), medial_from_orbits(tetrahedron()))
 
     def test_pyramid_gives_antiprism(self):
-        assert maps_isomorphic(medial(pyramid(4)), antiprism(4))
+        assert maps_isomorphic(medial(pyramid(4)), medial_from_orbits(pyramid(4)))
 
     def test_cube_gives_q14(self):
         mc = validate_map(medial(cube()))
@@ -534,12 +558,19 @@ class TestMedial:
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_two_apex_gives_twisted_antiprism(self, n):
-        assert maps_isomorphic(medial(two_apex_pyramid(n)), twisted_antiprism(n))
+        m = two_apex_pyramid(n)
+        assert maps_isomorphic(medial(m), medial_from_orbits(m))
 
 
 class TestDual:
     def test_cube_octahedron(self):
-        assert maps_isomorphic(dual(cube()), octahedron())
+        # the cube is built as the octahedron's dual: both sides go to the oracle
+        assert maps_isomorphic(dual(cube()), dual_from_orbits(cube()))
+        assert maps_isomorphic(cube(), dual_from_orbits(octahedron()))
+
+    @pytest.mark.parametrize("name,m", ALL_BUILDERS)
+    def test_matches_orbit_oracle(self, name, m):
+        assert maps_isomorphic(dual(m), dual_from_orbits(m))
 
     def test_tetra_self_dual(self):
         assert maps_isomorphic(dual(tetrahedron()), tetrahedron())
