@@ -2,7 +2,10 @@
 """Scan random two-bridge links: the spread between the best upper and lower
 volume bounds, and the white-face census of the augmented polyhedron.
 
-The census depends only on the number of twists t, so it is read off t and
+For each t, ``--samples`` links with t twists are drawn, half of them given
+as the mirror fraction p/(p - q); each row gives the range of the best
+upper bound, the best lower bound and their ratio over those links.  The
+census depends only on the number of twists t, so it is read off t and
 printed once per t.  Exits 1, naming the fraction, if a link's best lower
 bound exceeds its best upper bound.
 """
@@ -21,16 +24,18 @@ from volbounds.twists import (
 
 
 def random_fraction(rng, t):
-    """A fraction p/q with t continued-fraction digits; torus links
-    (q = +-1 mod p) are not hyperbolic and are drawn again."""
-    while True:
-        digits = [rng.randint(1, 6) for _ in range(t)]
-        if digits[-1] < 2:
-            digits[-1] = 2
-        value = continued_fraction_value(digits)
-        p, q = value.numerator, value.denominator
-        if q % p not in (1, p - 1):
-            return p, q
+    """A fraction p/q whose Conway normal form has t >= 2 twists: digits
+    1..6, the first and last at least 2, and half the time the mirror p/(p - q)."""
+    digits = [rng.randint(1, 6) for _ in range(t)]
+    digits[0] = max(digits[0], 2)
+    digits[-1] = max(digits[-1], 2)
+    value = continued_fraction_value(digits)
+    p, q = value.numerator, value.denominator
+    return (p, p - q) if rng.random() < 0.5 else (p, q)
+
+
+def span(values):
+    return f"{min(values):.6f}..{max(values):.6f}"
 
 
 def main():
@@ -42,25 +47,28 @@ def main():
 
     rng = random.Random(args.seed)
 
-    print(f"{'t':>3} {'best upper':>11} {'best lower':>11} {'ratio':>7}  white census")
+    print(f"{'t':>3} {'best upper':>23} {'best lower':>23} {'ratio':>11}  white census")
     for t in range(2, args.max_t + 1):
-        census = two_bridge_white_census(t)
-        spreads = []
+        uppers, lowers, ratios = [], [], []
         for _ in range(args.samples):
             p, q = random_fraction(rng, t)
+            lengths = two_bridge_lengths(p, q)
             flags = HypothesisFlags(
                 reduced=True, alternating=True, two_bridge=True,
                 not_figure_eight=p != 5, not_borromean=True,
             )
-            rows = link_report(TwistDecomposition(two_bridge_lengths(p, q)), flags, white_census=census)
+            census = two_bridge_white_census(len(lengths))
+            rows = link_report(TwistDecomposition(lengths), flags, white_census=census)
             upper = min(r.value for r in rows if r.applicable and r.kind == "upper")
             lower = max(r.value for r in rows if r.applicable and r.kind == "lower")
             if lower > upper:
                 sys.exit(f"b({p}/{q}): best lower bound {lower:.6f} exceeds best upper bound {upper:.6f}")
-            spreads.append((upper, lower))
-        upper, lower = spreads[0]
+            uppers.append(upper)
+            lowers.append(lower)
+            ratios.append(upper / max(lower, 1e-9))
+        ratio = f"{min(ratios):.2f}..{max(ratios):.2f}"
         pretty = ", ".join(f"f{n}={f}" for n, f in sorted(census.items()))
-        print(f"{t:>3} {upper:>11.6f} {lower:>11.6f} {upper / max(lower, 1e-9):>7.2f}  {pretty}")
+        print(f"{t:>3} {span(uppers):>23} {span(lowers):>23} {ratio:>11}  {pretty}")
 
 
 if __name__ == "__main__":

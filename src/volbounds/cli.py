@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
 # Each command imports the library modules it runs, so that a call loads
 # only those.
@@ -34,28 +33,6 @@ _FAMILIES = {
     "twisted-antiprism": True,
 }
 
-# upper-bound row added to a family member's report:
-# (name, hypotheses, citation, "module.function" giving the exact form of member n)
-_FAMILY_BOUNDS = {
-    "prism": (
-        "prism-atkinson",
-        ("prism",),
-        "Atkinson 2011 prism bound",
-        "polyhedra.prism_atkinson_expr",
-    ),
-    "pyramid": (
-        "antiprism-volume",
-        ("exact rectification volume",),
-        "Thurston antiprism volume (exact sup)",
-        "lobachevsky.antiprism_expr",
-    ),
-    "two-apex-pyramid": (
-        "twisted-antiprism-volume",
-        ("exact rectification volume",),
-        "twisted antiprism volume (exact sup)",
-        "lobachevsky.twisted_antiprism_expr",
-    ),
-}
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
@@ -148,13 +125,33 @@ def _cmd_constants(args) -> int:
 
 def _poly_doc(m, description: str, family=None, n=None) -> dict:
     from . import polyhedra
-    from .lobachevsky import bound_row, mark_best
+    from .lobachevsky import antiprism_expr, bound_row, mark_best, twisted_antiprism_expr
+    # upper-bound row added to a family member's report:
+    # (name, hypotheses, citation, exact form of member n)
+    family_bounds = {
+        "prism": (
+            "prism-atkinson",
+            ("prism",),
+            "Atkinson 2011 prism bound",
+            polyhedra.prism_atkinson_expr,
+        ),
+        "pyramid": (
+            "antiprism-volume",
+            ("exact rectification volume",),
+            "Thurston antiprism volume (exact sup)",
+            antiprism_expr,
+        ),
+        "two-apex-pyramid": (
+            "twisted-antiprism-volume",
+            ("exact rectification volume",),
+            "twisted antiprism volume (exact sup)",
+            twisted_antiprism_expr,
+        ),
+    }
     doc: dict = {"input": description, "census": _census_block(m.census)}
     bounds = polyhedra.rectification_bounds(m)
-    if family in _FAMILY_BOUNDS:
-        name, hypotheses, citation, form = _FAMILY_BOUNDS[family]
-        module, function = form.split(".")
-        expr = getattr(import_module(f"volbounds.{module}"), function)
+    if family in family_bounds:
+        name, hypotheses, citation, expr = family_bounds[family]
         extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n))
         bounds = mark_best(bounds + [extra])
     doc["bounds"] = _bound_rows(bounds)
@@ -193,23 +190,13 @@ def _cmd_poly_graph(args) -> int:
     return _report(doc, args)
 
 
-def _cmd_poly_medial(args) -> int:
+def _cmd_poly_medial_or_dual(args) -> int:
     from . import maps
-    m = maps.load_map(args.file)
-    med = maps.medial(m)
+    m = getattr(maps, args.poly_command)(maps.load_map(args.file))
     if args.out:
-        maps.save_map(med, args.out)
-    _render({"input": f"medial of {args.file}", "census": _census_block(med.census)}, args.format)
-    return 0
-
-
-def _cmd_poly_dual(args) -> int:
-    from . import maps
-    m = maps.load_map(args.file)
-    d = maps.dual(m)
-    if args.out:
-        maps.save_map(d, args.out)
-    _render({"input": f"dual of {args.file}", "census": _census_block(d.census)}, args.format)
+        maps.save_map(m, args.out)
+    doc = {"input": f"{args.poly_command} of {args.file}", "census": _census_block(m.census)}
+    _render(doc, args.format)
     return 0
 
 
@@ -230,7 +217,7 @@ def _parse_jones(text: str | None) -> tuple[int, int] | None:
     return abs(int(parts[0])), abs(int(parts[1]))
 
 
-def _link_doc(decomposition, flags, white_census=None, jones=None, description="", warnings=()) -> dict:
+def _link_doc(decomposition, flags, white_census=None, jones=None, description="") -> dict:
     from . import links
     from .twists import twist_stats
     s = twist_stats(decomposition)
@@ -247,7 +234,7 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
         doc["white_census"] = {str(k): v for k, v in sorted(white_census.items())}
     rows = links.link_report(decomposition, flags, white_census=white_census, jones_coefficients=jones)
     doc["bounds"] = _bound_rows(rows)
-    doc["warnings"] = sorted(warnings)
+    doc["warnings"] = []
     return doc
 
 
@@ -258,9 +245,8 @@ def _cmd_link_two_bridge(args) -> int:
     from .twists import TwistDecomposition, two_bridge_lengths, two_bridge_white_census
     p, q = _parse_fraction(args.fraction)
     lengths = two_bridge_lengths(p, q)
-    warnings = []
-    if q % p in (1 % p, (p - 1) % p):
-        warnings.append(f"b({p}/{q}) is a torus link; the hyperbolicity hypotheses fail")
+    # lengths refuses the torus links; for 2q > p they are the mirror's
+    mirror = f", mirror of b({p}/{p - q})" if 2 * q > p else ""
     # Conway normal forms are reduced alternating two-bridge diagrams; the
     # figure-eight knot is exactly b(5/2) (and its mirror b(5/3))
     flags = links.HypothesisFlags(
@@ -275,8 +261,7 @@ def _cmd_link_two_bridge(args) -> int:
         flags,
         white_census=two_bridge_white_census(len(lengths)),
         jones=_parse_jones(args.jones),
-        description=f"two-bridge b({p}/{q}), continued fraction {list(lengths)}",
-        warnings=warnings,
+        description=f"two-bridge b({p}/{q}){mirror}, continued fraction {list(lengths)}",
     )
     return _report(doc, args)
 
@@ -355,8 +340,8 @@ def _build_poly(p) -> None:
     sub = p.add_subparsers(dest="poly_command", required=True)
     sub.add_parser("family", help="build a named family member", build=_build_poly_family)
     sub.add_parser("graph", help="bounds for a map file", build=_build_poly_graph)
-    sub.add_parser("medial", help="medial map of a map file", build=_build_poly_medial)
-    sub.add_parser("dual", help="dual map of a map file", build=_build_poly_dual)
+    sub.add_parser("medial", help="medial map of a map file", build=_build_poly_medial_or_dual)
+    sub.add_parser("dual", help="dual map of a map file", build=_build_poly_medial_or_dual)
 
 
 def _build_poly_family(p) -> None:
@@ -374,16 +359,10 @@ def _build_poly_graph(p) -> None:
     p.set_defaults(func=_cmd_poly_graph)
 
 
-def _build_poly_medial(p) -> None:
+def _build_poly_medial_or_dual(p) -> None:
     p.add_argument("--file", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_poly_medial)
-
-
-def _build_poly_dual(p) -> None:
-    p.add_argument("--file", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_poly_dual)
+    p.set_defaults(func=_cmd_poly_medial_or_dual)
 
 
 def _build_link(p) -> None:

@@ -315,85 +315,69 @@ def is_three_connected(m: CombinatorialMap) -> bool:
     and any two faces meet in nothing, one vertex or one edge (the
     polyhedral-embedding criterion; Mohar and Thomassen, *Graphs on
     Surfaces*, 2001).  Two faces that share two vertices, or two vertices on
-    two faces, form a 4-cycle of the vertex-face incidence graph; the
-    criterion asks that every such 4-cycle be the one around an edge.  The
-    4-cycles are listed from their highest-degree node (Chiba and Nishizeki,
-    1985), so the cost is O(N log N) on N darts, the log for one sort.
+    two faces, form a 4-cycle of the vertex-face incidence graph.  Once
+    every face is a simple cycle, each edge closes exactly one such 4-cycle,
+    its two ends and its two sides (distinct faces, as a face through both
+    sides of an edge would repeat a vertex), and no two edges close the
+    same one.  So the criterion holds iff the incidence graph has exactly
+    as many 4-cycles as the simple graph has edges.  They are counted from
+    their first node in degree order (Chiba and Nishizeki, 1985), so the
+    cost is O(N log N) on N darts, the log for one sort.
     """
-    census = m.census
-    if census.V < 4:
+    if m.census.V < 4:
         raise ValueError("is_three_connected: need at least 4 vertices")
+    alpha, sigma = m.alpha, m.sigma
     n = m.dart_count
-    verts = vertex_orbits(m)
     vertex_of = [0] * n
-    for i, cyc in enumerate(verts):
+    for i, cyc in enumerate(m._vertex_orbits):
         for d in cyc:
             vertex_of[d] = i
 
-    # rotation of the underlying simple graph on the kept darts
+    # the simple graph keeps the first dart pair joining each vertex pair
     kept = [False] * n
-    simple_edges = set()
+    pairs = set()
     for d in range(n):
-        u, w = vertex_of[d], vertex_of[m.alpha[d]]
-        if u != w and (min(u, w), max(u, w)) not in simple_edges:
-            simple_edges.add((min(u, w), max(u, w)))
-            kept[d] = kept[m.alpha[d]] = True
-    sigma = [-1] * n
-    for cyc in verts:
-        ring = [d for d in cyc if kept[d]]
-        for i, d in enumerate(ring):
-            sigma[d] = ring[(i + 1) % len(ring)]
+        u, w = vertex_of[d], vertex_of[alpha[d]]
+        if u != w and (u, w) not in pairs:
+            pairs.add((u, w))
+            pairs.add((w, u))
+            kept[d] = kept[alpha[d]] = True
 
-    # faces of the simple graph; each must visit distinct vertices.  The
-    # incidence graph has nodes 0..V-1 for the vertices and V.. for the faces.
-    face_of = [-1] * n
-    incidence: list[list[int]] = [[] for _ in range(census.V)]
+    # its faces, walked on sigma past the dropped darts; each must visit
+    # distinct vertices.  Incidence nodes 0..V-1 are vertices, V.. faces.
+    seen = [False] * n
+    incidence: list[list[int]] = [[] for _ in range(m.census.V)]
     for start in range(n):
-        if not kept[start] or face_of[start] != -1:
+        if not kept[start] or seen[start]:
             continue
-        f = len(incidence)
-        incidence.append([])
+        face = []
         d = start
-        while face_of[d] == -1:
-            face_of[d] = f
-            incidence[vertex_of[d]].append(f)
-            incidence[f].append(vertex_of[d])
-            d = sigma[m.alpha[d]]
-        if len(set(incidence[f])) != len(incidence[f]):
+        while not seen[d]:
+            seen[d] = True
+            face.append(vertex_of[d])
+            d = sigma[alpha[d]]
+            while not kept[d]:
+                d = sigma[d]
+        if len(set(face)) != len(face):
             return False
+        for v in face:
+            incidence[v].append(len(incidence))
+        incidence.append(face)
 
-    # (vertex pair, face pair) of every edge: its ends and its two sides
-    edge_quads = set()
-    for d in range(n):
-        if kept[d]:
-            u, w = vertex_of[d], vertex_of[m.alpha[d]]
-            f, g = face_of[d], face_of[m.alpha[d]]
-            edge_quads.add((min(u, w), max(u, w), min(f, g), max(f, g)))
-
-    # a 4-cycle x-y-z-y' is found from x, its first node in degree order;
-    # y, y' and z all come later
+    # a 4-cycle x-y-z-y' is counted from x, its first node in degree order:
+    # each two later nodes y, y' joining x to a later z close one
     rank = [0] * len(incidence)
     order = sorted(range(len(incidence)), key=lambda x: -len(incidence[x]))
     for i, x in enumerate(order):
         rank[x] = i
+    cycles = 0
     for x in order:
-        middles: dict[int, list[int]] = {}
+        opposite = Counter()
         for y in incidence[x]:
             if rank[y] > rank[x]:
-                for z in incidence[y]:
-                    if rank[z] > rank[x]:
-                        middles.setdefault(z, []).append(y)
-        for z, ys in middles.items():
-            if len(ys) < 2:
-                continue
-            if len(ys) > 2:
-                return False
-            pair = (min(x, z), max(x, z))
-            others = (min(ys), max(ys))
-            quad = pair + others if x < census.V else others + pair
-            if quad not in edge_quads:
-                return False
-    return True
+                opposite.update(z for z in incidence[y] if rank[z] > rank[x])
+        cycles += sum(k * (k - 1) // 2 for k in opposite.values())
+    return cycles == len(pairs) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,13 @@ class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths"))
 
 def two_bridge_lengths(p: int, q: int) -> tuple[int, ...]:
     """Twist lengths of b(p/q)'s Conway normal form: the continued fraction
-    of p/q, refused when it has a single digit (see :func:`two_bridge_diagram`)."""
+    of p/q, or of its mirror image p/(p - q) when 2q > p, so that the leading
+    digit is at least 2.  Refused when it has a single digit, which happens
+    exactly for the torus links q = 1 and q = p - 1 (see
+    :func:`two_bridge_diagram`)."""
     digits = continued_fraction(p, q)
+    if 2 * q > p:
+        digits = continued_fraction(p, p - q)
     if len(digits) < 2:
         raise ValueError(
             f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
@@ -206,7 +211,8 @@ def two_bridge_white_census(t: int) -> dict[int, int]:
 def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     """Twist-reduced diagram of the two-bridge link b(p/q) in Conway normal form.
 
-    One 4-valent vertex per continued-fraction digit; the twist regions
+    One 4-valent vertex per digit of :func:`two_bridge_lengths` (the
+    mirror's continued fraction when 2q > p); the twist regions
     alternate between the two horizontal strand pairs of the 4-plat, giving a
     map with V = t, E = 2t, F = t + 2.  Needs at least two twists to form a
     nondegenerate diagram graph.

@@ -325,6 +325,8 @@ def two_bridge_maps(rng: random.Random, count: int) -> list[CombinatorialMap]:
     while len(out) < count:
         t = rng.randint(2, 7)
         digits = [rng.randint(1, 4) for _ in range(t - 1)] + [rng.randint(2, 4)]
+        # a leading 1 would make p/q the mirror of a fraction with t - 1 twists
+        digits[0] = max(digits[0], 2)
         value = continued_fraction_value(digits)
         m = two_bridge_diagram(value.numerator, value.denominator).map
         if validate_map(m).V >= 4:

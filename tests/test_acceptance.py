@@ -244,6 +244,8 @@ def test_c08_augmentation_invariants():
     for t in range(2, 11):
         for _ in range(6):
             digits = [rng.randint(1, 6) for _ in range(t)]
+            # the Conway normal form: a leading 1 would read as the mirror, with t - 1 twists
+            digits[0] = max(digits[0], 2)
             if digits[-1] < 2:
                 digits[-1] = 2
             value = continued_fraction_value(digits)

@@ -15,7 +15,7 @@ from volbounds.augmented import augment
 from volbounds.cli import _link_doc, _render, build_parser, run
 from volbounds.links import HypothesisFlags
 from volbounds.maps import load_map, medial, pyramid, validate_map
-from volbounds.twists import continued_fraction, two_bridge_diagram
+from volbounds.twists import two_bridge_diagram
 
 
 def invoke(argv):
@@ -188,10 +188,17 @@ class TestLinkTwoBridge:
         assert by_name["two-bridge-upper"]["best"] is True
         assert doc["warnings"] == []
 
-    def test_torus_link_warning(self):
-        code, out, _ = invoke(["link", "two-bridge", "--fraction", "7/6"])
+    def test_torus_link_refused(self):
+        # 7/6 is the mirror of the torus link 7/1
+        assert invoke(["link", "two-bridge", "--fraction", "7/6"]) == (
+            2, "", "error: two_bridge_diagram: b(7/6) has a single twist region, degenerate as a map\n"
+        )
+
+    def test_mirror_is_named(self):
+        code, out, _ = invoke(["link", "two-bridge", "--fraction", "7/5"])
         assert code == 0
-        assert "torus link" in out
+        assert "input: two-bridge b(7/5), mirror of b(7/2), continued fraction [3, 2]" in out
+        assert "lengths=[3, 2] t=2 c=5" in out
 
     def test_figure_eight_flagging(self):
         code, out, _ = invoke(["--format", "json", "link", "two-bridge", "--fraction", "5/2"])
@@ -218,16 +225,13 @@ class TestLinkTwoBridge:
 def _two_bridge_doc_from_p(p: int, q: int, jones) -> dict:
     """The `link two-bridge` report with the white census read off the built P."""
     diagram = two_bridge_diagram(p, q)
-    warnings = []
-    if q % p in (1 % p, (p - 1) % p):
-        warnings.append(f"b({p}/{q}) is a torus link; the hyperbolicity hypotheses fail")
+    mirror = f", mirror of b({p}/{p - q})" if 2 * q > p else ""
     return _link_doc(
         diagram.decomposition(),
         HypothesisFlags(True, True, True, p != 5, True),
         white_census=augment(diagram).white_census,
         jones=jones,
-        description=f"two-bridge b({p}/{q}), continued fraction {list(diagram.lengths)}",
-        warnings=warnings,
+        description=f"two-bridge b({p}/{q}){mirror}, continued fraction {list(diagram.lengths)}",
     )
 
 
@@ -244,9 +248,9 @@ def test_two_bridge_report_matches_the_augmented_census():
         return out.getvalue()
 
     checked = 0
-    for p in range(3, 61):
+    for p in range(3, 62):
         for q in range(1, p):
-            if gcd(p, q) != 1 or len(continued_fraction(p, q)) < 2:
+            if gcd(p, q) != 1 or q in (1, p - 1):  # torus links are refused
                 continue
             for jones in (None, (1, 2)):
                 argv = ["link", "two-bridge", "--fraction", f"{p}/{q}"]

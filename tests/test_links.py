@@ -1,4 +1,5 @@
 import math
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,12 @@ from volbounds.links import (
     two_bridge_bounds_expr,
     white_face_expr,
 )
-from volbounds.twists import TwistDecomposition, twist_stats
+from volbounds.twists import (
+    TwistDecomposition,
+    twist_stats,
+    two_bridge_lengths,
+    two_bridge_white_census,
+)
 
 PI = math.pi
 
@@ -366,3 +372,38 @@ class TestLinkReport:
             lowers = [r.value for r in rows if r.applicable and r.kind == "lower"]
             uppers = [r.value for r in rows if r.applicable and r.kind == "upper"]
             assert max(lowers) <= min(uppers) + 1e-9
+
+
+def two_bridge_report(p: int, q: int):
+    """The rows `volbounds link two-bridge --fraction p/q` prints."""
+    lengths = two_bridge_lengths(p, q)
+    flags = HypothesisFlags(True, True, True, p != 5, True)
+    return link_report(
+        TwistDecomposition(lengths), flags, white_census=two_bridge_white_census(len(lengths))
+    )
+
+
+def test_two_bridge_mirrors_give_the_same_report():
+    # b(p/q) and b(p/(p - q)) are mirror images, of equal volume; the torus
+    # links q = 1 and q = p - 1 are refused
+    checked = 0
+    for p in range(5, 201):
+        for q in range(2, (p + 1) // 2):
+            if gcd(p, q) != 1:
+                continue
+            rows = two_bridge_report(p, q)
+            assert two_bridge_report(p, p - q) == rows, (p, q)
+            lowers = [r.value for r in rows if r.applicable and r.kind == "lower"]
+            uppers = [r.value for r in rows if r.applicable and r.kind == "upper"]
+            assert max(lowers) <= min(uppers), (p, q)
+            checked += 1
+    assert checked > 5000
+
+
+def test_mirror_of_7_2_has_two_twists():
+    # the continued fraction of 7/5 is [1, 2, 2]; read as such it gave t = 3 and
+    # a two-bridge lower bound of 3.383050, above the volume of the 5_2 knot (2.828)
+    assert two_bridge_lengths(7, 5) == two_bridge_lengths(7, 2) == (3, 2)
+    by_name = {r.name: r for r in two_bridge_report(7, 5)}
+    assert by_name["two-bridge-lower"].value == pytest.approx(4 * V_TET - 2.7066, abs=1e-12)
+    assert by_name["two-bridge-lower"].value < 2.828

@@ -13,6 +13,8 @@ from map_corpus import (
     delete_edge,
     double_edge,
     dual_from_orbits,
+    face_cycles,
+    glue_along_edge,
     maps_isomorphic,
     medial_from_orbits,
     oracle_check_map,
@@ -635,6 +637,80 @@ class TestThreeConnectivity:
             if is_three_connected(m) != brute_force_three_connected(m)
         ]
         assert disagreements == []
+
+
+FAMILY_LADDERS = [
+    (pyramid, 3),
+    (bipyramid, 3),
+    (prism, 3),
+    (antiprism, 3),
+    (two_apex_pyramid, 4),
+    (twisted_antiprism, 4),
+]
+
+
+def poles_on_common_faces(paths: int, length: int) -> CombinatorialMap:
+    """Two poles joined by ``paths`` paths of ``length`` edges, with one face
+    between consecutive paths: both poles lie on every face.  Three paths of
+    two edges make the theta graph K_{2,3}, four make K_{2,4}."""
+    inner = iter(range(2, 2 + paths * (length - 1)))
+    routes = [[0] + [next(inner) for _ in range(length - 1)] + [1] for _ in range(paths)]
+    return map_from_face_cycles(
+        [route + routes[(i + 1) % paths][-2:0:-1] for i, route in enumerate(routes)]
+    )
+
+
+def blob_necklace(blobs: int) -> CombinatorialMap:
+    """Poles 0 and 1 joined through ``blobs`` copies of K4 minus an edge, so
+    that the poles share a 4-gon between each two consecutive blobs; min
+    degree and min face size 3, and {0, 1} a 2-vertex cut."""
+    xs = [2 + 2 * i for i in range(blobs)]
+    ys = [3 + 2 * i for i in range(blobs)]
+    faces = []
+    for i in range(blobs):
+        faces += [[0, xs[i], ys[i]], [xs[i], 1, ys[i]], [0, ys[i], 1, xs[(i + 1) % blobs]]]
+    return map_from_face_cycles(faces)
+
+
+class TestThreeConnectivityAtScale:
+    """Sizes the brute-force oracle cannot reach."""
+
+    @pytest.mark.parametrize("build,low", FAMILY_LADDERS, ids=lambda x: getattr(x, "__name__", x))
+    def test_families_to_200_with_duals_and_medials(self, build, low):
+        for n in range(low, 201):
+            m = build(n)
+            for member in (m, dual(m), medial(m)):
+                assert is_three_connected(member), (build.__name__, n)
+
+    def test_fixed_families_with_duals_and_medials(self):
+        for m in (tetrahedron(), cube(), octahedron()):
+            for member in (m, dual(m), medial(m)):
+                assert is_three_connected(member)
+
+    @pytest.mark.parametrize("paths", [3, 4, 9])
+    @pytest.mark.parametrize("length", [2, 50])
+    def test_poles_on_three_or_more_common_faces(self, paths, length):
+        m = poles_on_common_faces(paths, length)
+        assert m.census.F == paths
+        assert not is_three_connected(m)
+
+    @pytest.mark.parametrize("blobs", [2, 3, 4, 60])
+    def test_blob_necklace(self, blobs):
+        m = blob_necklace(blobs)
+        assert (m.census.V, m.census.E, m.census.F) == (2 + 2 * blobs, 5 * blobs, 3 * blobs)
+        assert m.census.min_degree >= 3 and m.census.min_face_size >= 3
+        assert not is_three_connected(m)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prism_glued_to_antiprism(self, seed):
+        m = glue_along_edge(face_cycles(prism(60)), face_cycles(antiprism(40)), random.Random(seed))
+        assert (m.census.V, m.census.E) == (120 + 80 - 2, 180 + 160 - 1)
+        assert not is_three_connected(m)
+
+    def test_small_cases_agree_with_brute_force(self):
+        small = [poles_on_common_faces(p, k) for p in (3, 4) for k in (2, 3)]
+        small += [blob_necklace(b) for b in (2, 3, 4)]
+        assert not any(brute_force_three_connected(m) for m in small)
 
 
 class TestFileFormat:

@@ -31,7 +31,7 @@ def test_family_bounds_table_prism_crossover():
 
 
 def test_two_bridge_scan_runs():
-    # the default draw meets the figure-eight knot b(5/2) and redraws torus
-    # fractions; the script exits 1 if a best lower bound exceeds the best upper
+    # the default draw meets the figure-eight knot b(5/2) and mirror fractions
+    # q > p/2; the script exits 1 if a best lower bound exceeds the best upper
     result = run_script("two_bridge_scan.py")
     assert result.returncode == 0, result.stderr
