@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .maps import CombinatorialMap, MapError, face_orbits, map_to_dict, vertex_orbits
 from .twists import TwistReducedDiagram
@@ -83,15 +84,17 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
 
     # partner(dart) = other dart of its axis corner; first[dart] is 1 on the
     # corner's first element (the one whose sigma-image is the partner).
-    # Vertex orbits e0..e3 come in canonical order, matching d.axis
-    corners = []
-    for (e0, e1, e2, e3), axis in zip(vertex_orbits(dm), d.axis):
-        corners += ((e1, e2), (e3, e0)) if axis else ((e0, e1), (e2, e3))
+    # The 4-regular map's flat vertex orbits are blocks e0..e3 in canonical
+    # order, matching d.axis; the corners are (e1, e2), (e3, e0) on axis 1
+    # and (e0, e1), (e2, e3) on axis 0
+    rot = dm._vertex_darts
     partner = [-1] * n_darts
     first = [0] * n_darts
-    for a, b in corners:
-        partner[a], partner[b] = b, a
-        first[a] = 1
+    for e0, e1, e2, e3, axis in zip(rot[0::4], rot[1::4], rot[2::4], rot[3::4], d.axis):
+        if axis:
+            e0, e1, e2, e3 = e1, e2, e3, e0
+        partner[e0], partner[e1], partner[e2], partner[e3] = e1, e0, e3, e2
+        first[e0] = first[e2] = 1
 
     # P darts per diagram dart x: 3x   spoke half at the black vertex,
     #                             3x+1 base half at the black vertex,
@@ -123,11 +126,12 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
         # bowtie against the same diagram bigon region
         raise AugmentError("construction-inconsistency: assembled polyhedron has a bigon face")
 
-    # orbits start at their minimal dart; corner (a, b)'s triangle is
+    # face orbits start at their minimal dart; corner (a, b)'s triangle is
     # {3a, 3b+1, 3b+2}, and a vertex is red exactly when its darts are 3x+2
-    face_at = {orbit[0]: fi for fi, orbit in enumerate(face_orbits(poly))}
-    dark = {face_at[min(3 * a, 3 * b + 1)] for a, b in corners}
-    red = {vi for vi, orbit in enumerate(vertex_orbits(poly)) if orbit[0] % 3 == 2}
+    face_darts = poly._face_darts
+    face_at = dict(zip(map(face_darts.__getitem__, poly._face_starts[:-1]), range(census.F)))
+    dark = {face_at[min(3 * a, 3 * partner[a] + 1)] for a in compress(range(n_darts), first)}
+    red = set(poly._vertex_of[2::3])
     white = Counter(census.face_counts) - Counter({3: 2 * t})  # less the dark triangles
 
     return AugmentedPolyhedron(

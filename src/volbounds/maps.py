@@ -9,11 +9,15 @@ V - E + F = 2 with V = #orbits(sigma), E = N/2, F = #orbits(phi).
 Building a :class:`CombinatorialMap` checks these invariants once, and the
 map carries what the check computed: its census and its vertex and face
 orbits.  A map that exists is valid, so no operation checks its input or
-walks its orbits again.  The check sorts nothing: one composition alpha o
-alpha and sigma's one orbit walk accept a valid map, and only what they
-refuse meets the ordered diagnosis.  Multigraphs are allowed at the map
-level (link-diagram graphs have parallel edges); polyhedral-skeleton checks
-are applied only where an operation needs them.
+walks its orbits again.  The orbits are kept flat, as the walk visits them:
+one dart order, the offset where each orbit starts in it, and for sigma
+each dart's vertex label; :func:`vertex_orbits` and :func:`face_orbits`
+slice per-orbit tuples out of that only when asked.  The check sorts
+nothing: one composition alpha o alpha and sigma's one orbit walk accept a
+valid map, and only what they refuse meets the ordered diagnosis.
+Multigraphs are allowed at the map level (link-diagram graphs have parallel
+edges); polyhedral-skeleton checks are applied only where an operation
+needs them.
 
 The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
 cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
@@ -23,7 +27,7 @@ and the cube and bipyramids the duals of the octahedron and prisms.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from operator import eq, itemgetter
+from operator import eq, itemgetter, sub
 
 __all__ = [
     "CombinatorialMap",
@@ -69,21 +73,33 @@ class CombinatorialMap:
     sigma), ``fixed-dart``, ``not-involution``, ``disconnected`` or
     ``genus``, the first in that order, though alpha is tested by one
     composition and sigma inside its orbit walk.  A built map carries its
-    census as ``census`` and the vertex and face orbits the check traced,
-    which :func:`vertex_orbits` and :func:`face_orbits` hand out; none of
-    them takes part in ``==``, ``hash`` or ``repr``.  Assigning or deleting
-    an attribute raises ``AttributeError``.
+    census as ``census`` and the orbits the check traced, flat: the darts of
+    the vertex (face) orbits in walk order as ``_vertex_darts``
+    (``_face_darts``), the offset of each orbit in them followed by the dart
+    count as ``_vertex_starts`` (``_face_starts``), and each dart's vertex
+    index as ``_vertex_of``.  :func:`vertex_orbits` and :func:`face_orbits`
+    slice them into orbits.  None of these takes part in ``==``, ``hash``
+    or ``repr``.  Assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
-    __slots__ = ("alpha", "sigma", "census", "_vertex_orbits", "_face_orbits")
+    __slots__ = (
+        "alpha", "sigma", "census",
+        "_vertex_darts", "_vertex_starts", "_vertex_of", "_face_darts", "_face_starts",
+    )
 
     def __init__(self, alpha: tuple[int, ...], sigma: tuple[int, ...]):
-        census, verts, faces = _check_map(alpha, sigma)
+        census, (vertex_darts, vertex_starts, vertex_of), (face_darts, face_starts) = (
+            _check_map(alpha, sigma)
+        )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "census", census)
-        object.__setattr__(self, "_vertex_orbits", tuple(verts))
-        object.__setattr__(self, "_face_orbits", tuple(faces))
+        object.__setattr__(self, "_vertex_darts", vertex_darts)
+        object.__setattr__(self, "_vertex_starts", vertex_starts)
+        object.__setattr__(self, "_vertex_of", vertex_of)
+        object.__setattr__(self, "_face_darts", face_darts)
+        object.__setattr__(self, "_face_starts", face_starts)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable map")
@@ -144,51 +160,69 @@ class SkeletonCensus(namedtuple("SkeletonCensus", "V E F degree_counts face_coun
         return set(self.degree_counts) == {4}
 
 
-def _orbits(perm: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Cycles of a permutation on 0..N-1, sorted by minimal element, and the
-    index of each element's cycle; each cycle starts at its minimal element
-    and follows ``perm``.  A non-permutation raises ``ValueError``, as a
-    walk meets a dart already labelled or a negative entry (which indexing
-    would wrap) before its start, or ``IndexError`` on an entry >= N."""
+def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Cycles of a permutation on 0..N-1, flat: the elements in walk order,
+    the offset at which each cycle starts in it followed by N, and the index
+    of each element's cycle.  Cycles are sorted by minimal element; each
+    starts at its minimal element and follows ``perm``.  No list or tuple is
+    made per cycle.  A non-permutation raises ``ValueError``, as a walk
+    meets a dart already labelled or a negative entry (which indexing would
+    wrap) before its start, or ``IndexError`` on an entry >= N."""
     n = len(perm)
     label = [-1] * n
-    cycles = []
+    order = []
+    starts = []
     for start, d in enumerate(perm):
         if label[start] >= 0:
             continue
-        k = label[start] = len(cycles)
-        cycle = [start]
+        k = label[start] = len(starts)
+        pos = len(order)
+        starts.append(pos)
+        order.append(start)
         while label[d] < 0 <= d:
             label[d] = k
-            cycle.append(d)
+            order.append(d)
             d = perm[d]
         if d != start:
             raise ValueError(f"{d!r} is reached twice or lies outside 0..{n - 1}")
-        cycles.append(tuple(cycle))
-    return cycles, label
+        order[pos] = d  # perm's own int for start: no int object kept per cycle
+    starts.append(n)
+    return order, starts, label
+
+
+def _sliced(darts: list[int], starts: list[int]) -> list[tuple[int, ...]]:
+    return [tuple(darts[i:j]) for i, j in zip(starts, starts[1:])]
 
 
 def vertex_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
     """sigma-orbits in canonical order (sorted by minimal dart).
 
     Each orbit starts at its minimal dart d and reads d, sigma(d),
-    sigma(sigma(d)), ...  The orbits were traced when ``m`` was built.
+    sigma(sigma(d)), ...  The orbits were traced when ``m`` was built and
+    stored flat; each call slices a fresh list of tuples out of them.
     """
-    return list(m._vertex_orbits)
+    return _sliced(m._vertex_darts, m._vertex_starts)
 
 
 def face_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
     """phi-orbits in canonical order (sorted by minimal dart).
 
     Each orbit starts at its minimal dart d and reads d, phi(d),
-    phi(phi(d)), ...  The orbits were traced when ``m`` was built.
+    phi(phi(d)), ...  The orbits were traced when ``m`` was built and
+    stored flat; each call slices a fresh list of tuples out of them.
     """
-    return list(m._face_orbits)
+    return _sliced(m._face_darts, m._face_starts)
 
 
-def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[SkeletonCensus, list, list]:
-    """Verify all map invariants of ``(alpha, sigma)``; return the census and
-    the vertex and face orbits."""
+def _sizes(starts: list[int]) -> dict[int, int]:
+    """Orbit size -> number of orbits, from the offsets of flat orbits."""
+    return dict(Counter(map(sub, starts[1:], starts)))
+
+
+def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[SkeletonCensus, tuple, tuple]:
+    """Verify all map invariants of ``(alpha, sigma)``; return the census,
+    the flat vertex orbits with each dart's vertex index (as
+    :func:`_orbits` gives them) and the flat face orbits."""
     if len(alpha) != len(sigma):
         raise MapError("length-mismatch", "alpha and sigma must have equal length")
     n = len(alpha)
@@ -201,7 +235,7 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
         # breaks it, one >= n raises), and with no fixed dart n is even
         if by_alpha(alpha) != tuple(darts) or any(map(eq, alpha, darts)):
             raise ValueError("alpha is not a fixed-point-free involution")
-        verts, vertex_of = _orbits(sigma)
+        vertex_darts, vertex_starts, vertex_of = _orbits(sigma)
     except (ValueError, IndexError, TypeError):
         # name the first violation in the documented order
         for name, perm in (("alpha", alpha), ("sigma", sigma)):
@@ -216,34 +250,35 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
                 raise MapError("not-involution", f"alpha^2 moves dart {d}")
 
     # connectivity of the group action of <alpha, sigma>, vertex by vertex:
-    # alpha leads from the darts of a vertex to those of its neighbours
-    across = by_alpha(vertex_of)
-    seen = [False] * len(verts)
+    # alpha leads from the darts of a vertex to those of its neighbours,
+    # which read in walk order make one slice per vertex
+    across = itemgetter(*vertex_darts)(by_alpha(vertex_of))
+    v = len(vertex_starts) - 1
+    seen = [False] * v
     seen[0] = True
     stack = [0]
-    reached = 0
     while stack:
-        cyc = verts[stack.pop()]
-        reached += len(cyc)
-        for w in map(across.__getitem__, cyc):
+        u = stack.pop()
+        for w in across[vertex_starts[u]:vertex_starts[u + 1]]:
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
-    if reached != n:
+    if not all(seen):
+        reached = sum(vertex_starts[u + 1] - vertex_starts[u] for u in range(v) if seen[u])
         raise MapError("disconnected", f"only {reached} of {n} darts reachable")
 
-    faces = _orbits(by_alpha(sigma))[0]
-    v, e, f = len(verts), n // 2, len(faces)
+    face_darts, face_starts, _ = _orbits(by_alpha(sigma))
+    e, f = n // 2, len(face_starts) - 1
     if v - e + f != 2:
         raise MapError("genus", f"V-E+F = {v - e + f} != 2 (not a sphere embedding)")
     census = SkeletonCensus(
         V=v,
         E=e,
         F=f,
-        degree_counts=dict(Counter(map(len, verts))),
-        face_counts=dict(Counter(map(len, faces))),
+        degree_counts=_sizes(vertex_starts),
+        face_counts=_sizes(face_starts),
     )
-    return census, verts, faces
+    return census, (vertex_darts, vertex_starts, vertex_of), (face_darts, face_starts)
 
 
 def validate_map(m: CombinatorialMap) -> SkeletonCensus:
@@ -326,12 +361,8 @@ def is_three_connected(m: CombinatorialMap) -> bool:
     """
     if m.census.V < 4:
         raise ValueError("is_three_connected: need at least 4 vertices")
-    alpha, sigma = m.alpha, m.sigma
+    alpha, sigma, vertex_of = m.alpha, m.sigma, m._vertex_of
     n = m.dart_count
-    vertex_of = [0] * n
-    for i, cyc in enumerate(m._vertex_orbits):
-        for d in cyc:
-            vertex_of[d] = i
 
     # the simple graph keeps the first dart pair joining each vertex pair
     kept = [False] * n

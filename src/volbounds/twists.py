@@ -162,10 +162,13 @@ def two_bridge_lengths(p: int, q: int) -> tuple[int, ...]:
     of p/q, or of its mirror image p/(p - q) when 2q > p, so that the leading
     digit is at least 2.  Refused when it has a single digit, which happens
     exactly for the torus links q = 1 and q = p - 1 (see
-    :func:`two_bridge_diagram`)."""
+    :func:`two_bridge_diagram`).
+
+    Euclid runs once: when 2q > p, p/q = [1, a_2, a_3, ...], and the mirror
+    p/(p - q) = 1 + q/(p - q) = [a_2 + 1, a_3, ...]."""
     digits = continued_fraction(p, q)
     if 2 * q > p:
-        digits = continued_fraction(p, p - q)
+        digits = [digits[1] + 1, *digits[2:]]
     if len(digits) < 2:
         raise ValueError(
             f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"

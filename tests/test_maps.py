@@ -14,6 +14,7 @@ from map_corpus import (
     double_edge,
     dual_from_orbits,
     face_cycles,
+    family_members,
     glue_along_edge,
     maps_isomorphic,
     medial_from_orbits,
@@ -178,7 +179,9 @@ class TestCheckedOnce:
         m = antiprism(5)
         assert dual(dual(m)) == m
         twin = CombinatorialMap(m.alpha, m.sigma)
-        for stored in ("census", "_vertex_orbits", "_face_orbits"):
+        for stored in (
+            "census", "_vertex_darts", "_vertex_starts", "_vertex_of", "_face_darts", "_face_starts",
+        ):
             object.__setattr__(twin, stored, None)
         assert twin == m
         assert hash(m) == hash(twin) == hash((m.alpha, m.sigma))
@@ -224,7 +227,7 @@ class TestRecordsSurviveCopying:
             assert vertex_orbits(m_again) == vertex_orbits(m)
             assert face_orbits(m_again) == face_orbits(m)
 
-    @pytest.mark.parametrize("field", ["alpha", "sigma", "census", "_face_orbits", "other"])
+    @pytest.mark.parametrize("field", ["alpha", "sigma", "census", "_face_darts", "other"])
     def test_map_stays_immutable(self, field):
         for m in (prism(6), copy.deepcopy(prism(6)), pickle.loads(pickle.dumps(prism(6)))):
             with pytest.raises(AttributeError):
@@ -787,3 +790,50 @@ def test_orbits_start_at_their_minimal_dart_and_follow_the_permutation(corpus):
             for orbit in orbits:
                 assert orbit[0] == min(orbit)
                 assert all(perm[d] == orbit[(i + 1) % len(orbit)] for i, d in enumerate(orbit))
+
+
+def _large_two_bridge_maps():
+    """The diagram and P of a two-bridge link with t = 100 and t = 1000."""
+    out = []
+    for t in (100, 1000):
+        rng = random.Random(t)
+        digits = [rng.randint(2, 5)] + [rng.randint(1, 5) for _ in range(t - 2)] + [2]
+        value = continued_fraction_value(digits)
+        diagram = two_bridge_diagram(value.numerator, value.denominator)
+        assert diagram.t == t
+        out += [diagram.map, augment(diagram).map]
+    return out
+
+
+FLAT_CORPORA = {
+    "map corpus": [m for ms in CONNECTIVITY.values() for m in ms],
+    "families up to n = 60": family_members(60),
+    "two-bridge diagram and P at t = 100, 1000": _large_two_bridge_maps(),
+}
+
+
+class TestFlatOrbits:
+    """A map stores its orbits flat, as its check walked them; the orbit
+    accessors slice them, and the census and orbits are those of the former
+    check."""
+
+    @pytest.mark.parametrize("corpus", sorted(FLAT_CORPORA))
+    def test_orbits_are_the_oracle_orbits(self, corpus):
+        for m in FLAT_CORPORA[corpus]:
+            phi = tuple(m.sigma[m.alpha[d]] for d in range(m.dart_count))
+            assert vertex_orbits(m) == oracle_orbits(m.sigma)
+            assert face_orbits(m) == oracle_orbits(phi)
+
+    @pytest.mark.parametrize("corpus", sorted(FLAT_CORPORA))
+    def test_vertex_label_is_the_index_of_its_orbit(self, corpus):
+        for m in FLAT_CORPORA[corpus]:
+            label = [None] * m.dart_count
+            for i, orbit in enumerate(oracle_orbits(m.sigma)):
+                for d in orbit:
+                    label[d] = i
+            assert list(m._vertex_of) == label
+
+    @pytest.mark.parametrize("corpus", sorted(FLAT_CORPORA))
+    def test_census_is_unchanged(self, corpus):
+        for m in FLAT_CORPORA[corpus]:
+            assert m.census == oracle_check_map(m.alpha, m.sigma)

@@ -143,6 +143,25 @@ class TestTwoBridgeDiagram:
                 build(3, 1)
             assert str(info.value) == message
 
+    def test_mirror_digits_come_from_one_expansion(self):
+        # for 2q > p the mirror's digits are read off p/q's own expansion
+        refused = []
+        for p in range(3, 201):
+            for q in range(p // 2 + 1, p):
+                if gcd(p, q) != 1:
+                    continue
+                mirror = continued_fraction(p, p - q)
+                if len(mirror) >= 2:
+                    assert two_bridge_lengths(p, q) == tuple(mirror)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    two_bridge_lengths(p, q)
+                assert str(info.value) == (
+                    f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
+                )
+                refused.append((p, q))
+        assert refused == [(p, p - 1) for p in range(3, 201)]  # the torus mirrors, 7/6 among them
+
     def test_matches_reference_builder_below_300(self):
         checked = 0
         for p in range(2, 300):
