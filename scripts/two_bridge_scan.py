@@ -15,12 +15,7 @@ import random
 import sys
 
 from volbounds.links import HypothesisFlags, link_report
-from volbounds.twists import (
-    TwistDecomposition,
-    continued_fraction_value,
-    two_bridge_lengths,
-    two_bridge_white_census,
-)
+from volbounds.twists import TwistDecomposition, two_bridge_lengths, two_bridge_white_census
 
 
 def random_fraction(rng, t):
@@ -29,8 +24,9 @@ def random_fraction(rng, t):
     digits = [rng.randint(1, 6) for _ in range(t)]
     digits[0] = max(digits[0], 2)
     digits[-1] = max(digits[-1], 2)
-    value = continued_fraction_value(digits)
-    p, q = value.numerator, value.denominator
+    p, q = 1, 0  # fold a_1 + 1/(a_2 + ...) from the last digit: p/q <- a + q/p
+    for a in reversed(digits):
+        p, q = a * p + q, p
     return (p, p - q) if rng.random() < 0.5 else (p, q)
 
 

@@ -40,8 +40,7 @@ class AugmentedPolyhedron:
     """Polyhedron P with its red/black vertex split and dark/white face data."""
 
     map: CombinatorialMap
-    red_vertices: frozenset[int]
-    black_vertices: frozenset[int]
+    red_vertices: frozenset[int]  # the other 2t vertices are black
     dark_faces: frozenset[int]
     white_census: dict[int, int]  # white n-gon counts f_n; sizes sum to 6t
 
@@ -74,7 +73,12 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
       sigma(a) = b, first[a] = 1 and first[b] = 0, so phi_p runs 3b+2 ->
       3b+1 -> 3a -> 3b+2; no two corners share a, and 3a lies on one face;
     - the white sizes sum to 6t: the face sizes sum to 2E = 12t, and the
-      dark triangles take 6t of it.
+      dark triangles take 6t of it;
+    - P is the medial of the diagram split at its axis corners (each vertex
+      becomes two trivalent vertices, one per axis corner, joined by a new
+      edge): the new edges give the red vertices, the trivalent vertices
+      the dark triangles and the split map's faces the white faces, so a
+      bigon face of P is a bigon face of the split map.
     """
     dm = d.map
     t = d.t
@@ -131,13 +135,11 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     face_darts = poly._face_darts
     face_at = dict(zip(map(face_darts.__getitem__, poly._face_starts[:-1]), range(census.F)))
     dark = {face_at[min(3 * a, 3 * partner[a] + 1)] for a in compress(range(n_darts), first)}
-    red = set(poly._vertex_of[2::3])
     white = Counter(census.face_counts) - Counter({3: 2 * t})  # less the dark triangles
 
     return AugmentedPolyhedron(
         map=poly,
-        red_vertices=frozenset(red),
-        black_vertices=frozenset(range(census.V)).difference(red),
+        red_vertices=frozenset(poly._vertex_of[2::3]),
         dark_faces=frozenset(dark),
         white_census=dict(white),
     )

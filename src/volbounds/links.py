@@ -121,18 +121,13 @@ _ADAMS_A_CASES = (
 
 
 def adams_a_case(s: TwistStats) -> tuple[str, VolumeExpr]:
-    """Select the subtraction constant, first matching case in printed order."""
-    if s.at_least(2) == 0:
-        return _ADAMS_A_CASES[0]
-    if s.at_least(3) == 0 and s.exactly(2) >= 1:
-        return _ADAMS_A_CASES[1]
-    if s.at_least(4) == 0 and s.exactly(3) >= 1:
-        return _ADAMS_A_CASES[2]
-    if s.at_least(5) == 0 and s.exactly(4) >= 1:
-        return _ADAMS_A_CASES[3]
-    if s.at_least(5) >= 1:
-        return _ADAMS_A_CASES[4]
-    raise AssertionError("a-case analysis not exhaustive")  # unreachable for t >= 1
+    """Select the subtraction constant, first matching case in printed order:
+    the first k in 2..5 with g_k = 0, else g5 >= 1.  A case's t_(k-1) >= 1
+    needs no check, since the case before it failing gives g_(k-1) >= 1."""
+    for k, case in enumerate(_ADAMS_A_CASES[:4], start=2):
+        if s.at_least(k) == 0:
+            return case
+    return _ADAMS_A_CASES[4]
 
 
 def adams_twist_expr(s: TwistStats) -> VolumeExpr:

@@ -23,8 +23,6 @@ from functools import cache
 __all__ = [
     "lobachevsky",
     "lobachevsky_quadrature",
-    "v_tet",
-    "v_oct",
     "V_TET",
     "V_OCT",
     "antiprism_volume",
@@ -129,18 +127,8 @@ def lobachevsky_quadrature(theta: float) -> float:
     return -sign * (x * math.log(2.0 * x) - x + smooth)
 
 
-def v_tet() -> float:
-    """Volume of the regular ideal tetrahedron, 3*L(pi/3)."""
-    return 3.0 * lobachevsky(math.pi / 3.0)
-
-
-def v_oct() -> float:
-    """Volume of the regular ideal octahedron, 8*L(pi/4)."""
-    return 8.0 * lobachevsky(math.pi / 4.0)
-
-
-V_TET = v_tet()
-V_OCT = v_oct()
+V_TET = 3.0 * lobachevsky(math.pi / 3.0)  # regular ideal tetrahedron
+V_OCT = 8.0 * lobachevsky(math.pi / 4.0)  # regular ideal octahedron
 
 
 def _require_n(n: int, minimum: int, what: str) -> None:

@@ -24,7 +24,6 @@ __all__ = [
     "TwistStats",
     "TwistReducedDiagram",
     "continued_fraction",
-    "continued_fraction_value",
     "twist_stats",
     "two_bridge_lengths",
     "two_bridge_white_census",
@@ -106,17 +105,6 @@ def continued_fraction(p: int, q: int) -> list[int]:
     return digits
 
 
-def continued_fraction_value(digits: list[int]) -> Fraction:
-    """Exact value a_1 + 1/(a_2 + 1/(... + 1/a_n))."""
-    from fractions import Fraction
-    if not digits:
-        raise ValueError("empty continued fraction")
-    acc = Fraction(digits[-1])
-    for a in reversed(digits[:-1]):
-        acc = a + 1 / acc
-    return acc
-
-
 class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths")):
     """4-regular diagram map with per-vertex axis bit and signed twist length.
 
@@ -141,8 +129,7 @@ class TwistReducedDiagram(namedtuple("TwistReducedDiagram", "map axis lengths"))
             raise ValueError("axis and lengths must have one entry per vertex")
         if any(a not in (0, 1) for a in axis):
             raise ValueError("axis entries must be 0 or 1")
-        if any(not isinstance(n, int) or n == 0 for n in lengths):
-            raise ValueError("twist lengths must be nonzero integers")
+        TwistDecomposition(lengths)  # checks the lengths
         return super().__new__(cls, map, axis, lengths)
 
     @classmethod

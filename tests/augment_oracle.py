@@ -5,6 +5,10 @@ each dark triangle through a dart-to-face dict, classifies every vertex of
 P by the set of its dart kinds and counts the white faces one by one.  The
 library builds the same permutations by slices and reads the same answers
 off the map's stored orbits and census; the two must agree on every input.
+
+``split_diagram`` splits a diagram at its axis corners.  P is the medial of
+that split map (Belletti's rectification of it), which gives a second
+oracle that shares no construction with either of the above.
 """
 
 from __future__ import annotations
@@ -19,6 +23,31 @@ from volbounds.twists import TwistReducedDiagram
 def _axis_corners(cycle: tuple[int, ...], axis: int) -> list[tuple[int, int]]:
     e = list(cycle)
     return [(e[axis], e[axis + 1]), (e[axis + 2], e[(axis + 3) % 4])]
+
+
+def split_diagram(d: TwistReducedDiagram) -> CombinatorialMap:
+    """The diagram with each vertex split into two trivalent vertices, one
+    per axis corner, joined by a new edge.
+
+    Keeps the diagram's n darts.  For vertex v, with its rotation
+    (e0, e1, e2, e3) as ``vertex_orbits`` lists it, turned one step to
+    (e1, e2, e3, e0) when ``axis[v]`` is 1, the new darts r = n + 2v and
+    r' = n + 2v + 1 form an edge, and sigma becomes e0 -> e1 -> r -> e0 and
+    e2 -> e3 -> r' -> e2.  In its medial, the new edges give P's red
+    vertices, the trivalent vertices its dark triangles and the faces its
+    white faces.
+    """
+    dm = d.map
+    n = dm.dart_count
+    alpha = list(dm.alpha) + [0] * (2 * d.t)
+    sigma = list(dm.sigma) + [0] * (2 * d.t)
+    for v, (rot, axis) in enumerate(zip(vertex_orbits(dm), d.axis)):
+        e0, e1, e2, e3 = rot[axis:] + rot[:axis]
+        r, r2 = n + 2 * v, n + 2 * v + 1
+        alpha[r], alpha[r2] = r2, r
+        sigma[e0], sigma[e1], sigma[r] = e1, r, e0
+        sigma[e2], sigma[e3], sigma[r2] = e3, r2, e2
+    return CombinatorialMap(tuple(alpha), tuple(sigma))
 
 
 def oracle_augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
@@ -136,7 +165,6 @@ def oracle_augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     return AugmentedPolyhedron(
         map=poly,
         red_vertices=frozenset(red),
-        black_vertices=frozenset(black),
         dark_faces=frozenset(dark),
         white_census=dict(white),
     )

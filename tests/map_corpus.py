@@ -20,6 +20,9 @@ The library builds the octahedron, antiprisms, twisted antiprisms, cube and
 bipyramids with ``medial`` and ``dual``, so the tests compare those two with
 these oracles rather than with the library's builders.
 
+``continued_fraction_value`` evaluates a continued fraction exactly; the
+library only expands fractions, so the tests invert that with it.
+
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
 (3-connected), and maps made from them that are not, or that are only as
 simple graphs (loops and parallel edges added).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from volbounds.maps import (
     CombinatorialMap,
@@ -50,7 +54,17 @@ from volbounds.maps import (
     validate_map,
     vertex_orbits,
 )
-from volbounds.twists import continued_fraction_value, two_bridge_diagram
+from volbounds.twists import two_bridge_diagram
+
+
+def continued_fraction_value(digits: list[int]) -> Fraction:
+    """Exact value a_1 + 1/(a_2 + 1/(... + 1/a_n))."""
+    if not digits:
+        raise ValueError("empty continued fraction")
+    acc = Fraction(digits[-1])
+    for a in reversed(digits[:-1]):
+        acc = a + 1 / acc
+    return acc
 
 
 def _vertex_of(m: CombinatorialMap) -> list[int]:

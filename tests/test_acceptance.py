@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from map_corpus import maps_isomorphic, medial_from_orbits
+from map_corpus import continued_fraction_value, maps_isomorphic, medial_from_orbits
 from reference_values import (
     ADAMS_CROSSING_C11,
     PRISM_CROSSOVER,
@@ -42,8 +42,6 @@ from volbounds.lobachevsky import (
     lobachevsky,
     lobachevsky_quadrature,
     twisted_antiprism_volume,
-    v_oct,
-    v_tet,
 )
 from volbounds.maps import (
     cube,
@@ -58,7 +56,6 @@ from volbounds.polyhedra import rectification_bounds, triangle_trivalent_expr
 from volbounds.twists import (
     TwistDecomposition,
     continued_fraction,
-    continued_fraction_value,
     twist_stats,
     two_bridge_diagram,
 )
@@ -101,7 +98,7 @@ def test_c02_function_properties():
 
 def test_c03_antiprism_anchors():
     start = time.monotonic()
-    assert abs(antiprism_volume(3) - v_oct()) < 1e-9
+    assert abs(antiprism_volume(3) - V_OCT) < 1e-9
     assert abs(2 * antiprism_volume(4) - 12.046092) < 1e-5
     assert time.monotonic() - start < 1.0
 

@@ -3,8 +3,8 @@ import random
 from math import gcd
 
 import pytest
-from augment_oracle import oracle_augment
-from map_corpus import family_members, maps_isomorphic
+from augment_oracle import oracle_augment, split_diagram
+from map_corpus import continued_fraction_value, family_members, maps_isomorphic
 
 from volbounds.augmented import (
     AugmentError,
@@ -13,16 +13,19 @@ from volbounds.augmented import (
     white_census_by_corner_count,
 )
 from volbounds.maps import (
+    CombinatorialMap,
+    MapError,
     dual,
     face_orbits,
+    is_three_connected,
     medial,
     octahedron,
+    prism,
     validate_map,
     vertex_orbits,
 )
 from volbounds.twists import (
     TwistReducedDiagram,
-    continued_fraction_value,
     two_bridge_diagram,
     two_bridge_white_census,
 )
@@ -114,7 +117,7 @@ class TestInvariants:
             assert census.is_four_regular()
             assert len(p.dark_faces) == 2 * t
             assert len(p.red_vertices) == t
-            assert len(p.black_vertices) == 2 * t
+            assert census.V - len(p.red_vertices) == 2 * t
             assert sum(n * f for n, f in p.white_census.items()) == 6 * t
             assert sum(p.white_census.values()) == t + 2
             assert p.white_census == white_census_by_corner_count(d)
@@ -163,6 +166,16 @@ class TestBadAxis:
             augment(broken)
 
 
+class TestSingleTwist:
+    def test_figure_eight_curve_refused(self):
+        # one vertex with two loops: a diagram, but only one twist
+        d = TwistReducedDiagram(CombinatorialMap((1, 0, 3, 2), (1, 2, 3, 0)), (0,), (3,))
+        with pytest.raises(AugmentError, match="^augmentation needs at least two twists$"):
+            augment(d)
+        with pytest.raises(AugmentError, match="^augmentation needs at least two twists$"):
+            oracle_augment(d)
+
+
 class TestSerialization:
     def test_dict_shape(self, tmp_path):
         p = augment(two_bridge_diagram(55, 17))
@@ -174,13 +187,42 @@ class TestSerialization:
         assert len(data["dark_faces"]) == 6
 
 
+def _two_bridge_diagrams(p_max):
+    """b(p/q) for every coprime p/q with p <= p_max, both sides of p/2, less
+    the torus links, which are refused."""
+    for p in range(3, p_max + 1):
+        for q in range(1, p):
+            if gcd(p, q) == 1 and q not in (1, p - 1):
+                yield two_bridge_diagram(p, q)
+
+
+def _two_bridge_with_random_axes():
+    """The two-bridge diagrams with p < 60, each with a seeded random marking."""
+    rng = random.Random(2024)
+    for d in _two_bridge_diagrams(59):
+        axis = tuple(rng.randint(0, 1) for _ in range(d.t))
+        yield TwistReducedDiagram(d.map, axis, d.lengths)
+
+
+def _medials_with_random_axes():
+    """Seven seeded random markings of the medial of each family member to
+    n = 8 and of its dual: 518 diagrams."""
+    rng = random.Random(2023)
+    members = family_members(8)
+    for m in members + [dual(m) for m in members]:
+        med = medial(m)
+        for _ in range(7):
+            axis = tuple(rng.randint(0, 1) for _ in range(med.census.V))
+            yield TwistReducedDiagram(med, axis, (1,) * med.census.V)
+
+
 def _outcome(build, d):
     """The parts of an augmentation, or the error it raised."""
     try:
         p = build(d)
     except AugmentError as err:
         return str(err)
-    return p.map, p.red_vertices, p.black_vertices, p.dark_faces, p.white_census
+    return p.map, p.red_vertices, p.dark_faces, p.white_census
 
 
 class TestMatchesFormerConstruction:
@@ -206,29 +248,59 @@ class TestMatchesFormerConstruction:
         assert _outcome(augment, d) == _outcome(oracle_augment, d)
 
     def test_medials_with_random_axes(self):
-        rng = random.Random(2023)
-        diagrams = []
-        members = family_members(8)
-        for m in members + [dual(m) for m in members]:
-            med = medial(m)
-            for _ in range(7):
-                axis = tuple(rng.randint(0, 1) for _ in range(med.census.V))
-                diagrams.append(TwistReducedDiagram(med, axis, (1,) * med.census.V))
+        diagrams = list(_medials_with_random_axes())
         assert len(diagrams) >= 500
         for d in diagrams:
             assert _outcome(augment, d) == _outcome(oracle_augment, d)
 
     def test_two_bridge_with_random_axes(self):
-        rng = random.Random(2024)
-        outcomes = []
-        for p in range(3, 60):
-            for q in range(1, p):
-                if gcd(p, q) != 1 or q in (1, p - 1):  # torus links are refused
-                    continue
-                d = two_bridge_diagram(p, q)
-                axis = tuple(rng.randint(0, 1) for _ in range(d.t))
-                marked = TwistReducedDiagram(d.map, axis, d.lengths)
-                outcomes.append((_outcome(augment, marked), _outcome(oracle_augment, marked)))
+        outcomes = [
+            (_outcome(augment, d), _outcome(oracle_augment, d))
+            for d in _two_bridge_with_random_axes()
+        ]
         assert all(mine == oracle for mine, oracle in outcomes)
         errors = sum(isinstance(mine, str) for mine, _ in outcomes)
         assert 0 < errors < len(outcomes)  # both accepted and rejected markings
+
+
+class TestMedialOfSplitDiagram:
+    """P is the medial of the diagram split at its axis corners."""
+
+    @staticmethod
+    def accepted(d):
+        """Check the identity on d; return whether augment accepted d."""
+        split = split_diagram(d)
+        assert split.census.degree_counts == {3: 2 * d.t}
+        try:
+            p = augment(d)
+        except AugmentError:
+            # the bigon refusal is medial's face-size refusal of the split map
+            assert split.census.min_face_size < 3
+            with pytest.raises(MapError) as err:
+                medial(split)
+            assert err.value.violation == "face-size"
+            return False
+        assert split.census.min_face_size >= 3
+        assert maps_isomorphic(p.map, medial(split))
+        assert p.white_census == split.census.face_counts
+        return True
+
+    def test_three_twists_split_into_the_triangular_prism(self):
+        split = split_diagram(two_bridge_diagram(55, 17))
+        assert maps_isomorphic(split, prism(3))
+        assert self.accepted(two_bridge_diagram(55, 17))
+
+    def test_two_bridge_up_to_60(self):
+        checked = 0
+        for d in _two_bridge_diagrams(60):
+            assert self.accepted(d)
+            assert is_three_connected(split_diagram(d))
+            checked += 1
+        assert checked > 900
+
+    def test_two_bridge_with_random_axes(self):
+        accepted = [self.accepted(d) for d in _two_bridge_with_random_axes()]
+        assert 0 < sum(accepted) < len(accepted)  # both accepted and refused markings
+
+    def test_medials_with_random_axes(self):
+        assert all(self.accepted(d) for d in _medials_with_random_axes())

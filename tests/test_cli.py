@@ -162,6 +162,20 @@ class TestPolyFiles:
         assert code == 2
         assert "fixed-dart" in err
 
+    def test_too_few_vertices_for_bounds(self, tmp_path):
+        single_edge = tmp_path / "edge.json"
+        single_edge.write_text('{"darts": 2, "alpha": [1, 0], "sigma": [0, 1]}')
+        code, _, err = invoke(["poly", "graph", "--file", str(single_edge)])
+        assert code == 2
+        assert err.startswith("error: rectification_bounds: need at least 4 vertices")
+
+    def test_map_file_not_an_object(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 0]")
+        code, _, err = invoke(["poly", "graph", "--file", str(bad)])
+        assert code == 2
+        assert err.startswith("error: format: bad map object: ")
+
 
 class TestLinkTwoBridge:
     def test_worked_example_table(self):
@@ -316,6 +330,16 @@ class TestLinkAugment:
         assert code == 0
         doc = json.loads(out)
         assert doc["census"]["V"] == 12  # 13/5 = [2,1,1,2] has t=4 twists
+
+    def test_single_twist_diagram_file(self, tmp_path):
+        # the figure-eight curve: one vertex, two loops
+        diagram_path = tmp_path / "figure_eight_curve.json"
+        diagram_path.write_text(
+            '{"darts": 4, "alpha": [1, 0, 3, 2], "sigma": [1, 2, 3, 0], "axis": [0], "lengths": [3]}'
+        )
+        code, _, err = invoke(["link", "augment", "--file", str(diagram_path)])
+        assert code == 2
+        assert err.startswith("error: augmentation needs at least two twists")
 
     def test_usage_error(self):
         code, _, _ = invoke(["link", "augment"])

@@ -21,8 +21,6 @@ from volbounds.lobachevsky import (
     lobachevsky_quadrature,
     twisted_antiprism_expr,
     twisted_antiprism_volume,
-    v_oct,
-    v_tet,
 )
 from volbounds.maps import SkeletonCensus
 from volbounds.polyhedra import face_census_expr
@@ -51,10 +49,10 @@ def test_golden_values():
 
 
 def test_constants():
-    assert v_tet() == pytest.approx(V_TET_EXACT, abs=1e-9)
-    assert v_oct() == pytest.approx(V_OCT_EXACT, abs=1e-9)
-    assert V_TET == v_tet()
-    assert V_OCT == v_oct()
+    assert V_TET == pytest.approx(V_TET_EXACT, abs=1e-9)
+    assert V_OCT == pytest.approx(V_OCT_EXACT, abs=1e-9)
+    assert V_TET == 3.0 * lobachevsky(PI / 3)
+    assert V_OCT == 8.0 * lobachevsky(PI / 4)
     assert V_OCT / 8 == pytest.approx(lobachevsky(PI / 4), abs=1e-15)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from map_corpus import (
     brute_force_three_connected,
+    continued_fraction_value,
     delete_edge,
     double_edge,
     dual_from_orbits,
@@ -53,7 +54,6 @@ from volbounds.maps import (
 from volbounds.polyhedra import rectification_bounds
 from volbounds.twists import (
     TwistDecomposition,
-    continued_fraction_value,
     twist_stats,
     two_bridge_diagram,
 )

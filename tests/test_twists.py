@@ -4,13 +4,13 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from map_corpus import continued_fraction_value
 
 from volbounds.maps import MapError, validate_map
 from volbounds.twists import (
     TwistDecomposition,
     TwistReducedDiagram,
     continued_fraction,
-    continued_fraction_value,
     diagram_from_dict,
     diagram_to_dict,
     twist_stats,
