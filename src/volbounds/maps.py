@@ -313,6 +313,22 @@ def medial_census(c: SkeletonCensus) -> SkeletonCensus:
     )
 
 
+def _medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """alpha and sigma of the medial of the map ``(alpha, sigma)``, numbered
+    as :func:`medial` says; built by slices, and checks nothing."""
+    n = len(sigma)
+    sigma_inv = [0] * n
+    for d, s in enumerate(sigma):
+        sigma_inv[s] = d
+    alpha_med = [0] * (2 * n)
+    alpha_med[0::2] = range(1, 2 * n, 2)
+    alpha_med[1::2] = range(0, 2 * n, 2)
+    sigma_med = [0] * (2 * n)
+    sigma_med[0::2] = [2 * d + 1 for d in sigma_inv]
+    sigma_med[1::2] = [2 * alpha[s] for s in sigma]
+    return tuple(alpha_med), tuple(sigma_med)
+
+
 def medial(m: CombinatorialMap) -> CombinatorialMap:
     """Medial map: one 4-valent vertex per edge of the input.
 
@@ -322,18 +338,7 @@ def medial(m: CombinatorialMap) -> CombinatorialMap:
     degree-k vertex and every k-gonal face of the input.
     """
     _require_polyhedral(m.census)
-    n = m.dart_count
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[m.sigma[d]] = d
-    alpha_med = [0] * (2 * n)
-    sigma_med = [0] * (2 * n)
-    for d in range(n):
-        alpha_med[2 * d] = 2 * d + 1
-        alpha_med[2 * d + 1] = 2 * d
-        sigma_med[2 * d] = 2 * sigma_inv[d] + 1
-        sigma_med[2 * d + 1] = 2 * m.alpha[m.sigma[d]]
-    return CombinatorialMap(tuple(alpha_med), tuple(sigma_med))
+    return CombinatorialMap(*_medial_perms(m.alpha, m.sigma))
 
 
 def dual(m: CombinatorialMap) -> CombinatorialMap:
@@ -560,27 +565,33 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _entry(data: dict, key: str, what: str):
+    """``data[key]`` of a file object; ``MapError("format")`` if ``data`` is
+    not an object or lacks ``key``."""
+    if not isinstance(data, dict):
+        raise MapError("format", f"bad {what} object: not a JSON object")
+    if key not in data:
+        raise MapError("format", f"bad {what} object: missing key {key!r}")
+    return data[key]
+
+
 def _int_entries(data: dict, key: str, what: str) -> tuple[int, ...]:
     """The list ``data[key]`` of a file object as a tuple of integers.
 
     JSON ``true``, ``1.0`` and ``"1"`` are not integers: any such entry, a
     missing key or a non-list value raises ``MapError("format")``.
     """
-    try:
-        entries = tuple(data[key])
-    except (KeyError, TypeError) as exc:
-        raise MapError("format", f"bad {what} object: {exc}") from exc
+    entries = _entry(data, key, what)
+    if not isinstance(entries, (list, tuple)):
+        raise MapError("format", f"bad {what} object: {key} is not a list")
     for i, x in enumerate(entries):
         if not _is_json_int(x):
             raise MapError("format", f"bad {what} object: {key}[{i}] = {x!r} is not an integer")
-    return entries
+    return tuple(entries)
 
 
 def map_from_dict(data: dict) -> CombinatorialMap:
-    try:
-        darts = data["darts"]
-    except (KeyError, TypeError) as exc:
-        raise MapError("format", f"bad map object: {exc}") from exc
+    darts = _entry(data, "darts", "map")
     if not _is_json_int(darts):
         raise MapError("format", f"bad map object: darts = {darts!r} is not an integer")
     alpha = _int_entries(data, "alpha", "map")

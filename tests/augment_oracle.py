@@ -1,15 +1,15 @@
 """The former construction of ``volbounds.augmented.augment``, kept as an oracle.
 
-It assembles P one rotation cycle at a time (``set_cycle``/``half``), finds
-each dark triangle through a dart-to-face dict, classifies every vertex of
-P by the set of its dart kinds and counts the white faces one by one.  The
-library builds the same permutations by slices and reads the same answers
-off the map's stored orbits and census; the two must agree on every input.
+It assembles P one rotation cycle at a time (``set_cycle``/``half``), with
+darts 3x, 3x+1, 3x+2 per diagram dart x, finds each dark triangle through a
+dart-to-face dict, classifies every vertex of P by the set of its dart kinds
+and counts the white faces one by one.  The library builds P as the medial
+of the diagram split at its axis corners, with darts 2e, 2e+1 per split
+dart e; under the dart bijection of ``tests/test_augmented.py`` the two must
+agree on every input.
 
-``split_diagram`` splits a diagram at its axis corners.  P is the medial of
-that split map (Belletti's rectification of it), which gives a second
-oracle that shares no construction with either of the above.
-"""
+``split_diagram`` splits a diagram at its axis corners one vertex at a
+time, as an oracle of the split the library builds by slices."""
 
 from __future__ import annotations
 

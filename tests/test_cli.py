@@ -172,9 +172,16 @@ class TestPolyFiles:
     def test_map_file_not_an_object(self, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 0]")
-        code, _, err = invoke(["poly", "graph", "--file", str(bad)])
-        assert code == 2
-        assert err.startswith("error: format: bad map object: ")
+        assert invoke(["poly", "graph", "--file", str(bad)]) == (
+            2, "", "error: format: bad map object: not a JSON object\n"
+        )
+
+    def test_map_file_missing_key(self, tmp_path):
+        bad = tmp_path / "no_darts.json"
+        bad.write_text('{"alpha": [1, 0], "sigma": [0, 1]}')
+        assert invoke(["poly", "graph", "--file", str(bad)]) == (
+            2, "", "error: format: bad map object: missing key 'darts'\n"
+        )
 
 
 class TestLinkTwoBridge:
@@ -340,6 +347,15 @@ class TestLinkAugment:
         code, _, err = invoke(["link", "augment", "--file", str(diagram_path)])
         assert code == 2
         assert err.startswith("error: augmentation needs at least two twists")
+
+    def test_diagram_file_missing_axis(self, tmp_path):
+        diagram_path = tmp_path / "no_axis.json"
+        diagram_path.write_text(
+            '{"darts": 4, "alpha": [1, 0, 3, 2], "sigma": [1, 2, 3, 0], "lengths": [3]}'
+        )
+        assert invoke(["link", "augment", "--file", str(diagram_path)]) == (
+            2, "", "error: format: bad diagram object: missing key 'axis'\n"
+        )
 
     def test_usage_error(self):
         code, _, _ = invoke(["link", "augment"])
