@@ -2,20 +2,20 @@
 """Scan random two-bridge links: the spread between the best upper and lower
 volume bounds, and the white-face census of the augmented polyhedron.
 
-For each t, ``--samples`` links with t twists are drawn, half of them given
-as the mirror fraction p/(p - q); each row gives the range of the best
-upper bound, the best lower bound and their ratio over those links.  The
-census depends only on the number of twists t, so it is read off t and
-printed once per t.  Exits 1, naming the fraction, if a link's best lower
-bound exceeds its best upper bound.
+For each t, ``--samples`` links with t twists are drawn, half of them given as
+the mirror p/(p - q); each is reported as ``volbounds link two-bridge`` does,
+by ``link_report(*two_bridge_inputs(p, q))``.  A row gives the range of the best
+upper bound, the best lower bound and their ratio over those links, and the
+census ``two_bridge_white_census(t)``, which depends only on t.  Exits 1, naming
+the fraction, if a link's best lower bound exceeds its best upper bound.
 """
 
 import argparse
 import random
 import sys
 
-from volbounds.links import HypothesisFlags, link_report
-from volbounds.twists import TwistDecomposition, two_bridge_lengths, two_bridge_white_census
+from volbounds.links import link_report, two_bridge_inputs
+from volbounds.twists import two_bridge_white_census
 
 
 def random_fraction(rng, t):
@@ -48,13 +48,7 @@ def main():
         uppers, lowers, ratios = [], [], []
         for _ in range(args.samples):
             p, q = random_fraction(rng, t)
-            lengths = two_bridge_lengths(p, q)
-            flags = HypothesisFlags(
-                reduced=True, alternating=True, two_bridge=True,
-                not_figure_eight=p != 5, not_borromean=True,
-            )
-            census = two_bridge_white_census(len(lengths))
-            rows = link_report(TwistDecomposition(lengths), flags, white_census=census)
+            rows = link_report(*two_bridge_inputs(p, q))
             upper = min(r.value for r in rows if r.applicable and r.kind == "upper")
             lower = max(r.value for r in rows if r.applicable and r.kind == "lower")
             if lower > upper:
@@ -63,6 +57,7 @@ def main():
             lowers.append(lower)
             ratios.append(upper / max(lower, 1e-9))
         ratio = f"{min(ratios):.2f}..{max(ratios):.2f}"
+        census = two_bridge_white_census(t)
         pretty = ", ".join(f"f{n}={f}" for n, f in sorted(census.items()))
         print(f"{t:>3} {span(uppers):>23} {span(lowers):>23} {ratio:>11}  {pretty}")
 

@@ -217,6 +217,11 @@ def _parse_jones(text: str | None) -> tuple[int, int] | None:
     return abs(int(parts[0])), abs(int(parts[1]))
 
 
+def _mirror(p: int, q: int) -> str:
+    """How an input line names the mirror b(p/(p - q)) that b(p/q) is read as."""
+    return f", mirror of b({p}/{p - q})" if 2 * q > p else ""
+
+
 def _link_doc(decomposition, flags, white_census=None, jones=None, description="") -> dict:
     from . import links
     from .twists import twist_stats
@@ -239,30 +244,12 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
 
 
 def _cmd_link_two_bridge(args) -> int:
-    # the report needs the twist lengths and P's white census, both read off
-    # the continued fraction: no diagram map, no P
     from . import links
-    from .twists import TwistDecomposition, two_bridge_lengths, two_bridge_white_census
     p, q = _parse_fraction(args.fraction)
-    lengths = two_bridge_lengths(p, q)
-    # lengths refuses the torus links; for 2q > p they are the mirror's
-    mirror = f", mirror of b({p}/{p - q})" if 2 * q > p else ""
-    # Conway normal forms are reduced alternating two-bridge diagrams; the
-    # figure-eight knot is exactly b(5/2) (and its mirror b(5/3))
-    flags = links.HypothesisFlags(
-        reduced=True,
-        alternating=True,
-        two_bridge=True,
-        not_figure_eight=p != 5,
-        not_borromean=True,
-    )
-    doc = _link_doc(
-        TwistDecomposition(lengths),
-        flags,
-        white_census=two_bridge_white_census(len(lengths)),
-        jones=_parse_jones(args.jones),
-        description=f"two-bridge b({p}/{q}){mirror}, continued fraction {list(lengths)}",
-    )
+    decomposition, flags, census = links.two_bridge_inputs(p, q)
+    lengths = list(decomposition.lengths)
+    desc = f"two-bridge b({p}/{q}){_mirror(p, q)}, continued fraction {lengths}"
+    doc = _link_doc(decomposition, flags, census, _parse_jones(args.jones), desc)
     return _report(doc, args)
 
 
@@ -287,7 +274,7 @@ def _cmd_link_augment(args) -> int:
     if args.fraction:
         p, q = _parse_fraction(args.fraction)
         diagram = two_bridge_diagram(p, q)
-        desc = f"augmentation of b({p}/{q})"
+        desc = f"augmentation of b({p}/{q}){_mirror(p, q)}"
     else:
         diagram = load_diagram(args.file)
         desc = f"augmentation of {args.file}"

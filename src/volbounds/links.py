@@ -23,7 +23,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lobachevsky import Bound, NotApplicable, VolumeExpr, bound_row, mark_best
-from .twists import TwistDecomposition, TwistStats, twist_stats
+from .twists import (
+    TwistDecomposition, TwistStats, twist_stats, two_bridge_lengths, two_bridge_white_census
+)
 
 __all__ = [
     "HypothesisFlags",
@@ -41,6 +43,7 @@ __all__ = [
     "jones_bounds_expr",
     "white_face_expr",
     "link_report",
+    "two_bridge_inputs",
 ]
 
 
@@ -350,3 +353,18 @@ def link_report(
             ),
         ]
     return mark_best(rows)
+
+
+def two_bridge_inputs(p: int, q: int) -> tuple[TwistDecomposition, HypothesisFlags, dict[int, int]]:
+    """The :func:`link_report` arguments for b(p/q), all fixed by its Conway
+    normal form: ``link two-bridge`` prints ``link_report(*two_bridge_inputs(p, q))``.
+
+    Lengths as :func:`~volbounds.twists.two_bridge_lengths` (the mirror's for
+    2q > p; torus links refused).  The form is a reduced alternating two-bridge
+    diagram, never the Borromean rings, and is the figure-eight knot exactly for
+    b(5/2) and b(5/3).  P's white census is ``two_bridge_white_census(t)``: no P."""
+    lengths = two_bridge_lengths(p, q)
+    flags = HypothesisFlags(
+        reduced=True, alternating=True, two_bridge=True, not_figure_eight=p != 5, not_borromean=True
+    )
+    return TwistDecomposition(lengths), flags, two_bridge_white_census(len(lengths))

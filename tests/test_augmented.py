@@ -12,6 +12,7 @@ from volbounds.augmented import (
     save_augmented,
     white_census_by_corner_count,
 )
+from volbounds.links import link_report
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
@@ -24,6 +25,7 @@ from volbounds.maps import (
     validate_map,
     vertex_orbits,
 )
+from volbounds.polyhedra import rectification_bounds
 from volbounds.twists import (
     TwistReducedDiagram,
     two_bridge_diagram,
@@ -348,3 +350,54 @@ class TestMedialOfSplitDiagram:
 
     def test_medials_with_random_axes(self):
         assert all(self.accepted(d) for d in _medials_with_random_axes())
+
+
+class TestLinkRowsAreSplitPolyhedronRows:
+    """The augmented-link rows are polyhedron rows on the split diagram,
+    doubled: the fully augmented link has volume 2 vol(P), and P is the
+    rectification of the split.  The exact forms differ (L(pi/3) terms
+    against v_tet), so the values are compared."""
+
+    @staticmethod
+    def agree(d):
+        """Check both identities on d if augment accepts it; return whether
+        it did."""
+        try:
+            census = augment(d).white_census
+        except AugmentError:
+            return False
+        link = {r.name: r.value for r in link_report(d.decomposition(), white_census=census)}
+        poly = {r.name: r.value for r in rectification_bounds(split_diagram(d))}
+        assert abs(link["white-face"] - 2 * poly["medial-face-census"]) < 1e-9
+        if d.t > 8:
+            # 3t > 24 medial vertices select the 13/4 shift, and P has 2t + delta
+            # triangles: v_tet (10t - 13 - delta)
+            assert abs(link["large-twist-refined"] - 2 * poly["medial-triangle-count"]) < 1e-9
+        else:
+            assert link["large-twist-refined"] is None
+        return True
+
+    def test_two_bridge_below_120(self):
+        diagrams = [
+            two_bridge_diagram(p, q)
+            for p in range(3, 120)
+            for q in range(2, p // 2 + 1)
+            if gcd(p, q) == 1
+        ]
+        assert len(diagrams) == 2059
+        assert all([self.agree(d) for d in diagrams])
+
+    def test_two_bridge_with_random_axes(self):
+        accepted = [self.agree(d) for d in _two_bridge_with_random_axes()]
+        assert (len(accepted), sum(accepted)) == (970, 483)
+
+    def test_medials_with_random_axes(self):
+        diagrams = list(_medials_with_random_axes())
+        assert (len(diagrams), sum(d.t > 8 for d in diagrams)) == (518, 476)
+        assert all([self.agree(d) for d in diagrams])
+
+    def test_chains_of_twos_beyond_eight_twists(self):
+        # no two-bridge diagram with p < 120 has t > 8
+        for t in range(9, 41):
+            value = continued_fraction_value([2] * t)
+            assert self.agree(two_bridge_diagram(value.numerator, value.denominator))

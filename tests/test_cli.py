@@ -12,8 +12,8 @@ from map_corpus import maps_isomorphic
 
 from volbounds import maps
 from volbounds.augmented import augment
-from volbounds.cli import _link_doc, _render, build_parser, run
-from volbounds.links import HypothesisFlags
+from volbounds.cli import _link_doc, _mirror, _render, build_parser, run
+from volbounds.links import two_bridge_inputs
 from volbounds.maps import load_map, medial, pyramid, validate_map
 from volbounds.twists import two_bridge_diagram
 
@@ -183,6 +183,13 @@ class TestPolyFiles:
             2, "", "error: format: bad map object: missing key 'darts'\n"
         )
 
+    def test_map_file_alpha_not_a_list(self, tmp_path):
+        bad = tmp_path / "alpha.json"
+        bad.write_text('{"darts": 2, "alpha": 1, "sigma": [0, 1]}')
+        assert invoke(["poly", "graph", "--file", str(bad)]) == (
+            2, "", "error: format: bad map object: alpha is not a list\n"
+        )
+
 
 class TestLinkTwoBridge:
     def test_worked_example_table(self):
@@ -221,6 +228,11 @@ class TestLinkTwoBridge:
         assert "input: two-bridge b(7/5), mirror of b(7/2), continued fraction [3, 2]" in out
         assert "lengths=[3, 2] t=2 c=5" in out
 
+    def test_jones_needs_two_coefficients(self):
+        assert invoke(["link", "two-bridge", "--fraction", "55/17", "--jones", "1"]) == (
+            2, "", "error: --jones expects two comma-separated integers, got '1'\n"
+        )
+
     def test_figure_eight_flagging(self):
         code, out, _ = invoke(["--format", "json", "link", "two-bridge", "--fraction", "5/2"])
         doc = json.loads(out)
@@ -246,13 +258,13 @@ class TestLinkTwoBridge:
 def _two_bridge_doc_from_p(p: int, q: int, jones) -> dict:
     """The `link two-bridge` report with the white census read off the built P."""
     diagram = two_bridge_diagram(p, q)
-    mirror = f", mirror of b({p}/{p - q})" if 2 * q > p else ""
+    _, flags, _ = two_bridge_inputs(p, q)
     return _link_doc(
         diagram.decomposition(),
-        HypothesisFlags(True, True, True, p != 5, True),
+        flags,
         white_census=augment(diagram).white_census,
         jones=jones,
-        description=f"two-bridge b({p}/{q}){mirror}, continued fraction {list(diagram.lengths)}",
+        description=f"two-bridge b({p}/{q}){_mirror(p, q)}, continued fraction {list(diagram.lengths)}",
     )
 
 
@@ -326,6 +338,15 @@ class TestLinkAugment:
         assert doc["white_census"] == {"3": 2, "4": 3}
         saved = json.loads(out_file.read_text())
         assert saved["white_census"] == {"3": 2, "4": 3}
+
+    def test_mirror_is_named(self):
+        # 7/5 is read as its mirror 7/2, whose normal form [3, 2] gives P
+        code, out, _ = invoke(["link", "augment", "--fraction", "7/5"])
+        _, direct, _ = invoke(["link", "augment", "--fraction", "7/2"])
+        assert code == 0
+        first, rest = out.split("\n", 1)
+        assert first == "input: augmentation of b(7/5), mirror of b(7/2)"
+        assert direct == f"input: augmentation of b(7/2)\n{rest}"
 
     def test_diagram_file_input(self, tmp_path):
         diagram_path = tmp_path / "diagram.json"

@@ -22,14 +22,10 @@ from volbounds.links import (
     large_twist_refined_expr,
     link_report,
     two_bridge_bounds_expr,
+    two_bridge_inputs,
     white_face_expr,
 )
-from volbounds.twists import (
-    TwistDecomposition,
-    twist_stats,
-    two_bridge_lengths,
-    two_bridge_white_census,
-)
+from volbounds.twists import TwistDecomposition, twist_stats, two_bridge_lengths
 
 PI = math.pi
 
@@ -194,6 +190,13 @@ class TestLargeTwist:
 class TestFkpLower:
     def test_values(self):
         assert fkp_lower_expr(3, 7).value == pytest.approx(0.70735 * 2, abs=1e-12)
+
+    def test_constant_is_the_factor_at_seven_rounded_down(self):
+        # 0.70735 is (1 - 4 pi^2 / (1 + 7^2))^(3/2) * 2 v_oct = 0.7073522...,
+        # rounded down to 5 places; 7 is the row's least twist length
+        exact = (1 - 4 * PI**2 / (1 + 7**2)) ** 1.5 * 2 * V_OCT
+        assert exact == pytest.approx(0.7073522, abs=1e-7)
+        assert fkp_lower_expr(2, 7).value == math.floor(exact * 10**5) / 10**5
 
     def test_hypotheses(self):
         with pytest.raises(NotApplicable):
@@ -376,11 +379,21 @@ class TestLinkReport:
 
 def two_bridge_report(p: int, q: int):
     """The rows `volbounds link two-bridge --fraction p/q` prints."""
-    lengths = two_bridge_lengths(p, q)
-    flags = HypothesisFlags(True, True, True, p != 5, True)
-    return link_report(
-        TwistDecomposition(lengths), flags, white_census=two_bridge_white_census(len(lengths))
-    )
+    return link_report(*two_bridge_inputs(p, q))
+
+
+def test_two_bridge_inputs():
+    decomposition, flags, census = two_bridge_inputs(55, 17)
+    assert decomposition == TwistDecomposition((3, 4, 4))
+    assert flags == ALL_FLAGS
+    assert census == {3: 2, 4: 3}
+    # the figure-eight knot b(5/2) and its mirror
+    for q in (2, 3):
+        assert two_bridge_inputs(5, q)[1] == ALL_FLAGS._replace(not_figure_eight=False)
+    # 7/5 is read as its mirror 7/2; 7/6, the mirror of the torus link 7/1, is refused
+    assert two_bridge_inputs(7, 5) == two_bridge_inputs(7, 2)
+    with pytest.raises(ValueError, match=r"b\(7/6\) has a single twist region"):
+        two_bridge_inputs(7, 6)
 
 
 def test_two_bridge_mirrors_give_the_same_report():

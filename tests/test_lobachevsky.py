@@ -38,6 +38,7 @@ def test_zero_and_half_pi():
     assert lobachevsky(0.0) == 0.0
     assert abs(lobachevsky(PI / 2)) < 1e-12
     assert abs(lobachevsky(-PI / 2)) < 1e-12
+    assert lobachevsky_quadrature(PI) == 0.0
 
 
 def test_golden_values():
@@ -182,6 +183,8 @@ class TestVolumeExpr:
         assert e.coefficient("v_tet") == 15
         assert e.coefficient("v_oct") == -2
         assert e.value == pytest.approx(15 * V_TET - 2 * V_OCT, abs=1e-12)
+        assert -e == (-1) * e
+        assert (-e).coefficient("v_oct") == 2
 
     def test_cancellation(self):
         zero = VolumeExpr.v_tet(4) - 2 * VolumeExpr.v_tet(2)

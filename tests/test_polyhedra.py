@@ -47,6 +47,10 @@ class TestAtkinsonMixed:
         with pytest.raises(ValueError):
             atkinson_mixed_expr(-1, 4)
 
+    def test_too_few_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least 4 vertices"):
+            atkinson_mixed_expr(1, 2)
+
 
 class TestIrpBounds:
     def test_octahedron_equalities(self):
@@ -148,6 +152,10 @@ class TestIrpTriangleBound:
         with pytest.raises(ValueError):
             irp_triangle_expr(10, 7)
 
+    def test_vertex_floor(self):
+        with pytest.raises(ValueError, match="need V >= 6"):
+            irp_triangle_expr(5, 8)
+
 
 class TestTriangleTrivalentBound:
     def test_tetrahedron_value(self):
@@ -183,6 +191,14 @@ class TestTriangleTrivalentBound:
             triangle_trivalent_expr(6, 5, 0)
         with pytest.raises(ValueError):
             triangle_trivalent_expr(6, 0, 5)
+
+    def test_impossible_arguments(self):
+        with pytest.raises(ValueError, match="at least 6 edges"):
+            triangle_trivalent_expr(5, 0, 0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            triangle_trivalent_expr(6, -1, 0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            triangle_trivalent_expr(6, 0, -1)
 
 
 class TestPrismBounds:

@@ -53,6 +53,8 @@ class TestContinuedFraction:
             continued_fraction(10, 10)
         with pytest.raises(ValueError):
             continued_fraction(10, 4)
+        with pytest.raises(ValueError, match="must be integers"):
+            continued_fraction(5.0, 2)
 
 
 class TestTwistStats:
