@@ -8,7 +8,7 @@ overtakes the Atkinson prism bound at n = 8.
 
 import argparse
 
-from volbounds.lobachevsky import antiprism_volume, twisted_antiprism_volume
+from volbounds.lobachevsky import antiprism_expr, twisted_antiprism_expr
 from volbounds.maps import prism, pyramid, two_apex_pyramid
 from volbounds.polyhedra import prism_atkinson_expr, rectification_bounds
 
@@ -30,7 +30,7 @@ def main():
     print(f"{'n':>3} {'lower':>10} {'exact':>10} {'best upper':>11}  best bound")
     for n in range(3, args.max_n + 1):
         lower, upper, name = best_rows(pyramid(n))
-        exact = antiprism_volume(n)
+        exact = antiprism_expr(n).value
         print(f"{n:>3} {lower:>10.6f} {exact:>10.6f} {upper:>11.6f}  {name}")
 
     print()
@@ -48,7 +48,7 @@ def main():
     print(f"{'n':>3} {'lower':>10} {'exact':>10} {'best upper':>11}  best bound")
     for n in range(4, args.max_n + 1):
         lower, upper, name = best_rows(two_apex_pyramid(n))
-        exact = twisted_antiprism_volume(n)
+        exact = twisted_antiprism_expr(n).value
         print(f"{n:>3} {lower:>10.6f} {exact:>10.6f} {upper:>11.6f}  {name}")
 
 

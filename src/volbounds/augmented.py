@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .maps import CombinatorialMap, _medial_perms, face_orbits, map_to_dict, vertex_orbits
+from .maps import CombinatorialMap, _medial_perms, face_orbits, vertex_orbits
 from .twists import TwistReducedDiagram
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "AugmentError",
     "augment",
     "white_census_by_corner_count",
-    "save_augmented",
 ]
 
 
@@ -114,15 +113,3 @@ def white_census_by_corner_count(d: TwistReducedDiagram) -> dict[int, int]:
         size = sum(1 if dm.alpha[x] in axis_darts else 2 for x in orbit)
         census[size] += 1
     return dict(census)
-
-
-def save_augmented(p: AugmentedPolyhedron, path) -> None:
-    """Write P as its map file object plus ``red``, ``dark_faces`` and
-    ``white_census`` (keys are face sizes as strings)."""
-    import json
-    out = map_to_dict(p.map)
-    out["red"] = sorted(p.red_vertices)
-    out["dark_faces"] = sorted(p.dark_faces)
-    out["white_census"] = {str(k): v for k, v in sorted(p.white_census.items())}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(out) + "\n")

@@ -38,6 +38,31 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+# the CLI reads and writes every file; the library has the dict formats only
+def _read_json(path):
+    import json
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _write_json(obj, path) -> None:
+    import json
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj) + "\n")
+
+
+def _parse_ints(text: str, sep: str, expects: str, count: int | None = None) -> tuple[int, ...]:
+    """The integers of ``text`` split at ``sep``; ``ValueError("<expects>,
+    got <text>")`` if an entry is not an integer or there are not ``count``."""
+    try:
+        values = tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"{expects}, got {text!r}")
+    return values
+
+
 def _census_block(census) -> dict:
     return {
         "V": census.V,
@@ -175,7 +200,7 @@ def _cmd_poly_family(args) -> int:
     m = builder(args.n) if needs_n else builder()
     desc = args.name if not needs_n else f"{args.name}({args.n})"
     if args.out:
-        maps.save_map(m, args.out)
+        _write_json(maps.map_to_dict(m), args.out)
     if not (args.bounds or args.bound):
         _render({"input": desc, "census": _census_block(m.census)}, args.format)
         return 0
@@ -185,36 +210,26 @@ def _cmd_poly_family(args) -> int:
 
 def _cmd_poly_graph(args) -> int:
     from . import maps
-    m = maps.load_map(args.file)
+    m = maps.map_from_dict(_read_json(args.file))
     doc = _poly_doc(m, f"map file {args.file}")
     return _report(doc, args)
 
 
 def _cmd_poly_medial_or_dual(args) -> int:
     from . import maps
-    m = getattr(maps, args.poly_command)(maps.load_map(args.file))
+    m = getattr(maps, args.poly_command)(maps.map_from_dict(_read_json(args.file)))
     if args.out:
-        maps.save_map(m, args.out)
+        _write_json(maps.map_to_dict(m), args.out)
     doc = {"input": f"{args.poly_command} of {args.file}", "census": _census_block(m.census)}
     _render(doc, args.format)
     return 0
 
 
-def _parse_fraction(text: str) -> tuple[int, int]:
-    try:
-        p_str, q_str = text.split("/")
-        return int(p_str), int(q_str)
-    except ValueError as exc:
-        raise ValueError(f"--fraction expects p/q, got {text!r}") from exc
-
-
-def _parse_jones(text: str | None) -> tuple[int, int] | None:
+def _parse_jones(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--jones expects two comma-separated integers, got {text!r}")
-    return abs(int(parts[0])), abs(int(parts[1]))
+    coefficients = _parse_ints(text, ",", "--jones expects two comma-separated integers", 2)
+    return tuple(abs(a) for a in coefficients)
 
 
 def _mirror(p: int, q: int) -> str:
@@ -245,7 +260,7 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
 
 def _cmd_link_two_bridge(args) -> int:
     from . import links
-    p, q = _parse_fraction(args.fraction)
+    p, q = _parse_ints(args.fraction, "/", "--fraction expects p/q", 2)
     decomposition, flags, census = links.two_bridge_inputs(p, q)
     lengths = list(decomposition.lengths)
     desc = f"two-bridge b({p}/{q}){_mirror(p, q)}, continued fraction {lengths}"
@@ -256,7 +271,7 @@ def _cmd_link_two_bridge(args) -> int:
 def _cmd_link_twists(args) -> int:
     from . import links
     from .twists import TwistDecomposition
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    lengths = _parse_ints(args.lengths, ",", "--lengths expects comma-separated integers")
     decomposition = TwistDecomposition(lengths)
     flags = links.HypothesisFlags._make(getattr(args, name) for name in links.HypothesisFlags._fields)
     doc = _link_doc(
@@ -270,19 +285,16 @@ def _cmd_link_twists(args) -> int:
 
 def _cmd_link_augment(args) -> int:
     from . import augmented, links
-    from .twists import load_diagram, save_diagram, two_bridge_diagram
+    from .maps import map_to_dict
+    from .twists import diagram_from_dict, diagram_to_dict, two_bridge_diagram
     if args.fraction:
-        p, q = _parse_fraction(args.fraction)
+        p, q = _parse_ints(args.fraction, "/", "--fraction expects p/q", 2)
         diagram = two_bridge_diagram(p, q)
         desc = f"augmentation of b({p}/{q}){_mirror(p, q)}"
     else:
-        diagram = load_diagram(args.file)
+        diagram = diagram_from_dict(_read_json(args.file))
         desc = f"augmentation of {args.file}"
     poly = augmented.augment(diagram)
-    if args.out:
-        augmented.save_augmented(poly, args.out)
-    if args.out_diagram:
-        save_diagram(diagram, args.out_diagram)
     doc = {
         "input": desc,
         "census": _census_block(poly.map.census),
@@ -291,6 +303,15 @@ def _cmd_link_augment(args) -> int:
         "white_census": {str(k): v for k, v in sorted(poly.white_census.items())},
         "white_face_bound": _fmt(links.white_face_expr(poly.t, poly.white_census).value),
     }
+    if args.out:
+        # P's file is its map object plus three of the printed fields
+        p_file = map_to_dict(poly.map)
+        p_file.update(
+            red=doc["red_vertices"], dark_faces=doc["dark_faces"], white_census=doc["white_census"]
+        )
+        _write_json(p_file, args.out)
+    if args.out_diagram:
+        _write_json(diagram_to_dict(diagram), args.out_diagram)
     _render(doc, args.format)
     return 0
 

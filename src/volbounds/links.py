@@ -158,17 +158,20 @@ def adams_twist_expr(s: TwistStats) -> VolumeExpr:
 
 def large_twist_expr(t: int) -> VolumeExpr:
     """Improved twist-number bound 10 v_tet (t - 1.4) for diagrams with more
-    than eight twists."""
-    if t <= 8:
-        raise NotApplicable("large-twist bound needs t > 8")
-    return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(14, 10)))
+    than eight twists: :func:`large_twist_refined_expr` at delta = 1.
+
+    So the triangle bound backs this row only when the augmented polyhedron
+    has a white triangle (delta >= 1, and the refined row is no weaker);
+    whether it holds at delta = 0 is open (ROADMAP item 18).
+    """
+    return large_twist_refined_expr(t, 1)
 
 
 def large_twist_refined_expr(t: int, delta: int) -> VolumeExpr:
     """Refinement 10 v_tet (t - 1.3 - delta/10) when the augmented polyhedron
     has delta + 2t triangles."""
     if t <= 8:
-        raise NotApplicable("refined large-twist bound needs t > 8")
+        raise NotApplicable("large-twist bound needs t > 8")
     if delta < 0:
         raise ValueError("large_twist_refined_expr: delta must be nonnegative")
     return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(13, 10) - Fraction(delta, 10)))
@@ -204,22 +207,24 @@ def jones_bounds_expr(abs_a2: int, abs_penultimate: int) -> tuple[VolumeExpr, Vo
     return lower, upper
 
 
+def _check_white_census(t: int, white_census: dict[int, int]) -> None:
+    """Raise :class:`CensusMismatchError` unless every size n >= 3, every
+    count f_n >= 0 and sum n f_n = 6t."""
+    bad = {n: f for n, f in white_census.items() if n < 3 or f < 0}
+    if bad:
+        raise CensusMismatchError(f"white census entries {bad} need face size >= 3 and count >= 0")
+    handshake = sum(n * f for n, f in white_census.items())
+    if handshake != 6 * t:
+        raise CensusMismatchError(f"white census sums to {handshake}, expected 6t = {6 * t}")
+
+
 def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
     augmented-polyhedron bound; rejects a census with a size n < 3, a count
     f_n < 0, or sum n f_n != 6t."""
     if t < 2:
         raise NotApplicable("white-face bound needs at least 2 twists")
-    bad = {n: f for n, f in white_census.items() if n < 3 or f < 0}
-    if bad:
-        raise CensusMismatchError(
-            f"white census entries {bad} need face size >= 3 and count >= 0"
-        )
-    handshake = sum(n * f for n, f in white_census.items())
-    if handshake != 6 * t:
-        raise CensusMismatchError(
-            f"white census sums to {handshake}, expected 6t = {6 * t}"
-        )
+    _check_white_census(t, white_census)
     total = VolumeExpr.v_tet(4 * t - 8)
     for n, f in sorted(white_census.items()):
         total = total + VolumeExpr.lob(n, 2 * n * f)
@@ -245,7 +250,10 @@ def link_report(
     """
     s = twist_stats(d)
     reduced_alternating = flags.reduced and flags.alternating
-    delta = white_census.get(3, 0) if white_census else None
+    delta = None
+    if white_census is not None:
+        _check_white_census(s.t, white_census)
+        delta = white_census.get(3, 0)
     tb_ok = flags.two_bridge and reduced_alternating
     rows = [
         bound_row(

@@ -52,8 +52,6 @@ __all__ = [
     "map_from_face_cycles",
     "map_to_dict",
     "map_from_dict",
-    "load_map",
-    "save_map",
 ]
 
 
@@ -599,15 +597,3 @@ def map_from_dict(data: dict) -> CombinatorialMap:
     if len(alpha) != darts or len(sigma) != darts:
         raise MapError("length-mismatch", "darts field disagrees with array lengths")
     return CombinatorialMap(alpha, sigma)
-
-
-def load_map(path) -> CombinatorialMap:
-    import json
-    with open(path) as fh:
-        return map_from_dict(json.load(fh))
-
-
-def save_map(m: CombinatorialMap, path) -> None:
-    import json
-    with open(path, "w") as fh:
-        fh.write(json.dumps(map_to_dict(m)) + "\n")

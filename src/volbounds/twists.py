@@ -30,8 +30,6 @@ __all__ = [
     "two_bridge_diagram",
     "diagram_to_dict",
     "diagram_from_dict",
-    "load_diagram",
-    "save_diagram",
 ]
 
 
@@ -168,6 +166,9 @@ def two_bridge_white_census(t: int) -> dict[int, int]:
     of a two-bridge diagram with t >= 2 twists, read off without building P.
 
     Counts add where sizes meet ({3: 4} at t = 2, {3: 2, 4: 3} at t = 3).
+    It is the degree census of the join K2 + P_t of an edge with a path on t
+    vertices: that join is the dual of the diagram split at its axis corners,
+    so P is its rectification too.
 
     Proof, by the corner-count rule of
     :func:`~volbounds.augmented.white_census_by_corner_count`: each face of
@@ -270,15 +271,3 @@ def diagram_from_dict(data: dict) -> TwistReducedDiagram:
     axis = _int_entries(data, "axis", "diagram")
     lengths = _int_entries(data, "lengths", "diagram")
     return TwistReducedDiagram(map=m, axis=axis, lengths=lengths)
-
-
-def load_diagram(path) -> TwistReducedDiagram:
-    import json
-    with open(path) as fh:
-        return diagram_from_dict(json.load(fh))
-
-
-def save_diagram(d: TwistReducedDiagram, path) -> None:
-    import json
-    with open(path, "w") as fh:
-        fh.write(json.dumps(diagram_to_dict(d)) + "\n")

@@ -6,12 +6,8 @@ import pytest
 from augment_oracle import oracle_augment, split_diagram
 from map_corpus import continued_fraction_value, family_members, maps_isomorphic
 
-from volbounds.augmented import (
-    AugmentError,
-    augment,
-    save_augmented,
-    white_census_by_corner_count,
-)
+from volbounds import cli
+from volbounds.augmented import AugmentError, augment, white_census_by_corner_count
 from volbounds.links import link_report
 from volbounds.maps import (
     CombinatorialMap,
@@ -19,6 +15,7 @@ from volbounds.maps import (
     dual,
     face_orbits,
     is_three_connected,
+    map_from_face_cycles,
     medial,
     octahedron,
     prism,
@@ -107,6 +104,36 @@ class TestTwoBridgeWhiteCensus:
         assert two_bridge_white_census(t) == augment(d).white_census
 
 
+def join(t):
+    """K2 + P_t: the edge {N, S} joined to every vertex of the path 0, ..., t-1."""
+    north, south = t, t + 1
+    faces = [[north, i, i + 1] for i in range(t - 1)] + [[south, i + 1, i] for i in range(t - 1)]
+    return map_from_face_cycles(faces + [[0, south, north], [south, t - 1, north]])
+
+
+class TestTwoBridgeIsJoinRectification:
+    """The two-bridge P is the rectification of K2 + P_t, t the twist count.
+
+    K2 + P_t is the dual of the two-bridge diagram split at its axis corners,
+    and a map and its dual have the same medial.  P's white faces are the
+    join's vertices, so the closed-form white census is its degree census.
+    """
+
+    def test_two_bridge_below_60(self):
+        checked = 0
+        for p in range(3, 60):
+            for q in range(2, p // 2 + 1):
+                if gcd(p, q) == 1:
+                    d = two_bridge_diagram(p, q)
+                    assert maps_isomorphic(augment(d).map, medial(join(d.t))), (p, q)
+                    checked += 1
+        assert checked == 485
+
+    def test_white_census_is_the_degree_census(self):
+        for t in range(2, 201):
+            assert two_bridge_white_census(t) == join(t).census.degree_counts, t
+
+
 class TestInvariants:
     @pytest.mark.parametrize("t", range(2, 11))
     def test_random_inputs(self, t):
@@ -186,8 +213,7 @@ class TestSingleTwist:
 
 class TestSerialization:
     def test_dict_shape(self, tmp_path):
-        p = augment(two_bridge_diagram(55, 17))
-        save_augmented(p, tmp_path / "p.json")
+        assert cli.run(["link", "augment", "--fraction", "55/17", "--out", str(tmp_path / "p.json")]) == 0
         data = json.loads((tmp_path / "p.json").read_text())
         assert set(data) == {"darts", "alpha", "sigma", "red", "dark_faces", "white_census"}
         assert data["white_census"] == {"3": 2, "4": 3}

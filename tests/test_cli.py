@@ -14,7 +14,7 @@ from volbounds import maps
 from volbounds.augmented import augment
 from volbounds.cli import _link_doc, _mirror, _render, build_parser, run
 from volbounds.links import two_bridge_inputs
-from volbounds.maps import load_map, medial, pyramid, validate_map
+from volbounds.maps import map_from_dict, medial, pyramid, validate_map
 from volbounds.twists import two_bridge_diagram
 
 
@@ -142,7 +142,7 @@ class TestPolyFiles:
         assert code == 0
         code, out, _ = invoke(["poly", "medial", "--file", str(src), "--out", str(med_path)])
         assert code == 0
-        reloaded = load_map(med_path)
+        reloaded = map_from_dict(json.loads(med_path.read_text()))
         assert validate_map(reloaded) == validate_map(medial(pyramid(4)))
         assert maps_isomorphic(reloaded, medial(pyramid(4)))
 
@@ -152,7 +152,7 @@ class TestPolyFiles:
         invoke(["poly", "family", "--name", "cube", "--out", str(src)])
         code, out, _ = invoke(["poly", "dual", "--file", str(src), "--out", str(dual_path)])
         assert code == 0
-        census = validate_map(load_map(dual_path))
+        census = validate_map(map_from_dict(json.loads(dual_path.read_text())))
         assert (census.V, census.E, census.F) == (6, 12, 8)
 
     def test_bad_file(self, tmp_path):
@@ -383,6 +383,28 @@ class TestLinkAugment:
         assert code == 2
 
 
+# one parser reads every integer option and words its refusal for the option
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["link", "twists", "--lengths", "3,,4"], "--lengths expects comma-separated integers, got '3,,4'"),
+        (["link", "twists", "--lengths", "3,x"], "--lengths expects comma-separated integers, got '3,x'"),
+        (
+            ["link", "two-bridge", "--fraction", "55/17", "--jones", "a,b"],
+            "--jones expects two comma-separated integers, got 'a,b'",
+        ),
+        (
+            ["link", "twists", "--lengths", "3,4,4", "--jones", "1,2,3"],
+            "--jones expects two comma-separated integers, got '1,2,3'",
+        ),
+        (["link", "two-bridge", "--fraction", "x/y"], "--fraction expects p/q, got 'x/y'"),
+        (["link", "augment", "--fraction", "55"], "--fraction expects p/q, got '55'"),
+    ],
+)
+def test_integer_option_refusals(argv, message):
+    assert invoke(argv) == (2, "", f"error: {message}\n")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_FAMILIES = (("pyramid", 3), ("two-apex-pyramid", 4), ("prism", 3))
@@ -411,7 +433,7 @@ def golden_transcript(fmt: str) -> str:
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_golden_transcript(fmt, tmp_path, monkeypatch):
     # any byte of difference is an output change, to be made on purpose and
-    # recorded; regenerate with `python tests/test_cli.py`
+    # recorded; regenerate with `PYTHONPATH=src python tests/test_cli.py`
     monkeypatch.chdir(tmp_path)
     assert golden_transcript(fmt) == (GOLDEN / f"cli.{fmt}.txt").read_text()
 

@@ -4,8 +4,9 @@ and their values, for every `HypothesisFlags` combination.
 The golden file pins the applicability of every row on twist decompositions
 with t = 1, 2, 3..8 and > 8 twists, c < 3 and c < 5 crossings, and minimal
 twist length below and at least 7, each with and without a white census and
-Jones data.  Regenerate with `python tests/test_gating.py`; any byte of
-difference is a change in which rows apply, to be made on purpose.
+Jones data.  Regenerate with `PYTHONPATH=src python tests/test_gating.py`;
+any byte of difference is a change in which rows apply, to be made on
+purpose.
 """
 
 from itertools import product

@@ -274,8 +274,13 @@ class TestWhiteFace:
 
     @pytest.mark.parametrize("census", IMPOSSIBLE)
     def test_impossible_census_rejected_by_report(self, census):
-        with pytest.raises(CensusMismatchError):
-            link_report(TwistDecomposition((3, 4, 4)), ALL_FLAGS, white_census=census)
+        # at t = 9 large-twist-refined reads the census too; six more hexagons
+        # keep the handshake sum at 6t
+        nine = {**census, 6: census.get(6, 0) + 6}
+        for lengths, c in (((3, 4, 4), census), ((2,) * 9, nine)):
+            for flags in (ALL_FLAGS, HypothesisFlags()):
+                with pytest.raises(CensusMismatchError):
+                    link_report(TwistDecomposition(lengths), flags, white_census=c)
 
     def test_octahedral_census(self):
         assert white_face_expr(2, {3: 4}).value == pytest.approx(8 * V_TET, abs=1e-12)
