@@ -22,7 +22,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .lobachevsky import Bound, NotApplicable, VolumeExpr, bound_row, mark_best
+from .lobachevsky import (
+    Bound, NotApplicable, VolumeExpr, bound_row, face_sum_expr, irp_triangle_expr, mark_best
+)
 from .twists import (
     TwistDecomposition, TwistStats, twist_stats, two_bridge_lengths, two_bridge_white_census
 )
@@ -158,23 +160,25 @@ def adams_twist_expr(s: TwistStats) -> VolumeExpr:
 
 def large_twist_expr(t: int) -> VolumeExpr:
     """Improved twist-number bound 10 v_tet (t - 1.4) for diagrams with more
-    than eight twists: :func:`large_twist_refined_expr` at delta = 1.
+    than eight twists: :func:`large_twist_refined_expr` at delta = 1, so twice
+    the triangle bound of an augmented polyhedron P with 2t + 1 triangles.
 
-    So the triangle bound backs this row only when the augmented polyhedron
-    has a white triangle (delta >= 1, and the refined row is no weaker);
-    whether it holds at delta = 0 is open (ROADMAP item 18).
+    This row assumes P has at least 2t + 1 triangles, i.e. a white triangle
+    (delta >= 1, where the refined row is no weaker); whether it holds at
+    delta = 0 is open (ROADMAP item 18).
     """
     return large_twist_refined_expr(t, 1)
 
 
 def large_twist_refined_expr(t: int, delta: int) -> VolumeExpr:
     """Refinement 10 v_tet (t - 1.3 - delta/10) when the augmented polyhedron
-    has delta + 2t triangles."""
+    P has 2t + delta triangles: twice :func:`irp_triangle_expr` on P, whose
+    V = 3t > 24 selects the 13/4 shift (vol of the augmented link = 2 vol P)."""
     if t <= 8:
         raise NotApplicable("large-twist bound needs t > 8")
     if delta < 0:
         raise ValueError("large_twist_refined_expr: delta must be nonnegative")
-    return VolumeExpr.v_tet(Fraction(10) * (t - Fraction(13, 10) - Fraction(delta, 10)))
+    return 2 * irp_triangle_expr(3 * t, 2 * t + delta)
 
 
 def fkp_lower_expr(t: int, min_twist_length: int) -> VolumeExpr:
@@ -221,14 +225,15 @@ def _check_white_census(t: int, white_census: dict[int, int]) -> None:
 def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
     augmented-polyhedron bound; rejects a census with a size n < 3, a count
-    f_n < 0, or sum n f_n != 6t."""
+    f_n < 0, or sum n f_n != 6t.
+
+    It is twice the face-census bound of the augmented polyhedron P: P's 2t
+    dark triangles give 2t v_tet, its white faces the face sum, and the bound
+    subtracts 4 v_tet."""
     if t < 2:
         raise NotApplicable("white-face bound needs at least 2 twists")
     _check_white_census(t, white_census)
-    total = VolumeExpr.v_tet(4 * t - 8)
-    for n, f in sorted(white_census.items()):
-        total = total + VolumeExpr.lob(n, 2 * n * f)
-    return total
+    return VolumeExpr.v_tet(4 * t - 8) + 2 * face_sum_expr(white_census)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 * two structurally independent evaluators of the Lobachevsky function
   (a zeta-accelerated series and a Simpson-rule quadrature oracle),
 * the volumes of antiprisms and twisted antiprisms, exact and in floats,
+* the two ideal right-angled bounds that both reports use: the face sum
+  behind the face-census bound, and the triangle-aware vertex-count bound,
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
   that is only converted to floating point at the boundary, and
 * :class:`Bound`, the report row that the polyhedron and link reports share,
@@ -30,6 +32,8 @@ __all__ = [
     "VolumeExpr",
     "antiprism_expr",
     "twisted_antiprism_expr",
+    "face_sum_expr",
+    "irp_triangle_expr",
     "NotApplicable",
     "Bound",
     "bound_row",
@@ -304,6 +308,23 @@ def twisted_antiprism_expr(n: int) -> VolumeExpr:
     """Volume A(n-1) + A(3) of the twisted n-antiprism."""
     _require_n(n, 4, "twisted_antiprism_expr")
     return antiprism_expr(n - 1) + antiprism_expr(3)
+
+
+def face_sum_expr(face_counts: dict[int, int]) -> VolumeExpr:
+    """The sum sum_n n f_n L(pi/n) over a census of f_n faces of size n: the
+    bipyramids over the faces of an ideal right-angled polyhedron."""
+    return VolumeExpr({("lob", 1, int(n)): n * f for n, f in sorted(face_counts.items())})
+
+
+def irp_triangle_expr(v: int, p3: int) -> VolumeExpr:
+    """Triangle-aware bound 2 v_tet (V - (p3+8)/4) for ideal right-angled
+    polyhedra, tightened to (p3+13)/4 when V > 24."""
+    if v < 6:
+        raise ValueError("irp_triangle_expr: need V >= 6")
+    if p3 < 8:
+        raise ValueError("irp_triangle_expr: 4-regular genus-0 forces p3 >= 8")
+    shift = Fraction(p3 + 13, 4) if v > 24 else Fraction(p3 + 8, 4)
+    return VolumeExpr.v_tet(2 * (v - shift))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lobachevsky import Bound, VolumeExpr, bound_row, mark_best
+from .lobachevsky import (
+    Bound, VolumeExpr, bound_row, face_sum_expr, irp_triangle_expr, mark_best
+)
 from .maps import (
     CombinatorialMap,
     SkeletonCensus,
@@ -92,10 +94,7 @@ def face_census_expr(census: SkeletonCensus) -> VolumeExpr:
     """Bipyramid-decomposition bound sum_n L(pi/n) p_n n - 4 v_tet for an
     ideal right-angled polyhedron with face census p_n."""
     _require_irp_census(census)
-    total = VolumeExpr.v_tet(-4)
-    for n, count in sorted(census.face_counts.items()):
-        total = total + VolumeExpr.lob(n, n * count)
-    return total
+    return VolumeExpr.v_tet(-4) + face_sum_expr(census.face_counts)
 
 
 def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
@@ -105,17 +104,6 @@ def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
     for n, count in sorted(census.face_counts.items()):
         total = total + VolumeExpr.pilog(n, count)
     return total
-
-
-def irp_triangle_expr(v: int, p3: int) -> VolumeExpr:
-    """Triangle-aware bound 2 v_tet (V - (p3+8)/4) for ideal right-angled
-    polyhedra, tightened to (p3+13)/4 when V > 24."""
-    if v < 6:
-        raise ValueError("irp_triangle_expr: need V >= 6")
-    if p3 < 8:
-        raise ValueError("irp_triangle_expr: 4-regular genus-0 forces p3 >= 8")
-    shift = Fraction(p3 + 13, 4) if v > 24 else Fraction(p3 + 8, 4)
-    return VolumeExpr.v_tet(2 * (v - shift))
 
 
 def triangle_trivalent_expr(e: int, v3: int, p3: int) -> VolumeExpr:
