@@ -42,7 +42,10 @@ def _fmt(x: float) -> str:
 def _read_json(path):
     import json
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(obj, path) -> None:
@@ -391,7 +394,11 @@ def _build_link_two_bridge(p) -> None:
 
 def _build_link_twists(p) -> None:
     from .links import HypothesisFlags
-    p.add_argument("--lengths", required=True, help="comma-separated signed twist lengths")
+    p.add_argument(
+        "--lengths",
+        required=True,
+        help="comma-separated signed twist lengths; write --lengths=-3,4,-4 when the first is negative",
+    )
     p.add_argument("--jones")
     p.add_argument("--bound")
     for name in HypothesisFlags._fields:

@@ -160,12 +160,12 @@ def adams_twist_expr(s: TwistStats) -> VolumeExpr:
 
 def large_twist_expr(t: int) -> VolumeExpr:
     """Improved twist-number bound 10 v_tet (t - 1.4) for diagrams with more
-    than eight twists: :func:`large_twist_refined_expr` at delta = 1, so twice
+    than eight twists: :func:`large_twist_refined_expr` at delta = 1, twice
     the triangle bound of an augmented polyhedron P with 2t + 1 triangles.
 
-    This row assumes P has at least 2t + 1 triangles, i.e. a white triangle
-    (delta >= 1, where the refined row is no weaker); whether it holds at
-    delta = 0 is open (ROADMAP item 18).
+    So the row assumes P has at least 2t + 1 triangles (a white triangle, where
+    the refined row is no weaker); whether it holds at delta = 0 is open
+    (ROADMAP item 18).
     """
     return large_twist_refined_expr(t, 1)
 
@@ -225,11 +225,8 @@ def _check_white_census(t: int, white_census: dict[int, int]) -> None:
 def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
     """White-face refinement (4t - 8) v_tet + 2 sum_n n f_n L(pi/n) of the
     augmented-polyhedron bound; rejects a census with a size n < 3, a count
-    f_n < 0, or sum n f_n != 6t.
-
-    It is twice the face-census bound of the augmented polyhedron P: P's 2t
-    dark triangles give 2t v_tet, its white faces the face sum, and the bound
-    subtracts 4 v_tet."""
+    f_n < 0, or sum n f_n != 6t.  It is twice the face-census bound of the
+    augmented polyhedron P, whose 2t dark triangles give 2t v_tet."""
     if t < 2:
         raise NotApplicable("white-face bound needs at least 2 twists")
     _check_white_census(t, white_census)
@@ -289,6 +286,7 @@ def link_report(
             ("hyperbolic", "reduced diagram (alternating or not)"),
             "Dasbach-Tsvietkova 2015/2019",
             lambda: dasbach_tsvietkova_expr(s),
+            applicable=flags.reduced,
         ),
         bound_row(
             "adams-twist",

@@ -7,9 +7,9 @@ here combine the classical vertex-count bounds for ideal right-angled
 polyhedra with face-census refinements, and re-express them in terms of the
 edge count of the original skeleton.
 
-Applicability hypotheses (non-obtuse, ideal-right-angled, ...) are carried as
-flags on :class:`Bound`; inputs are purely combinatorial, so the geometric
-hypotheses are the caller's assertion.
+Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
+...) as ``hypotheses`` strings beside its ``applicable`` mark; inputs are
+purely combinatorial, so the geometric hypotheses are the caller's assertion.
 """
 
 from __future__ import annotations

@@ -191,6 +191,19 @@ class TestPolyFiles:
         )
 
 
+# json's decoder recurses once per nesting level; every --file reader refuses
+# a file nested past the recursion limit as invalid input
+@pytest.mark.parametrize(
+    "command", [["poly", "graph"], ["poly", "medial"], ["poly", "dual"], ["link", "augment"]]
+)
+def test_deeply_nested_file(command, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert invoke(command + ["--file", str(deep)]) == (
+        2, "", f"error: {deep}: JSON nested too deeply\n"
+    )
+
+
 class TestLinkTwoBridge:
     def test_worked_example_table(self):
         code, out, _ = invoke(["link", "two-bridge", "--fraction", "55/17"])
@@ -324,6 +337,13 @@ class TestLinkTwists:
     def test_zero_length_rejected(self):
         code, _, err = invoke(["link", "twists", "--lengths", "3,0,4"])
         assert code == 2
+
+    def test_negative_first_length_in_equals_form(self):
+        # argparse reads a separate "-3,4,-4" as an option, so the help says
+        # to attach it with "="
+        code, out, err = invoke(["link", "twists", "--lengths=-3,4,-4"])
+        assert (code, err) == (0, "")
+        assert "lengths=[-3, 4, -4]" in out
 
 
 class TestLinkAugment:
