@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .maps import CombinatorialMap, _medial_perms, face_orbits, vertex_orbits
 from .twists import TwistReducedDiagram
@@ -64,16 +65,25 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     n = dm.dart_count
 
     # The split.  The 4-regular map's flat vertex orbits are blocks of four
-    # in canonical order, matching d.axis; turned one step on axis 1, each
-    # reads e0..e3 with axis corners (e0, e1) and (e2, e3).  The new darts
-    # r = n + 2v and r' = r + 1 form an edge, and sigma runs e0 -> e1 -> r
-    # -> e0 and e2 -> e3 -> r' -> e2.
+    # in canonical order, matching d.axis, so column k of the blocks holds
+    # dart k of each vertex; turned one step at the vertices on axis 1, the
+    # columns read e0..e3 with axis corners (e0, e1) and (e2, e3).  The new
+    # darts r = n + 2v and r' = r + 1 form an edge, and sigma runs e0 -> e1
+    # -> r -> e0 and e2 -> e3 -> r' -> e2.
     rot = dm._vertex_darts
-    turned = [rot[4 * v + (k + a) % 4] for v, a in enumerate(d.axis) for k in range(4)]
-    alpha = dm.alpha + tuple(r ^ 1 for r in range(n, n + 2 * t))  # n = 4t is even
-    sigma = list(dm.sigma) + turned[0::2]  # r -> e0, r' -> e2
-    for x, r in zip(turned[1::2], range(n, n + 2 * t)):  # e1 -> r, e3 -> r'
-        sigma[x] = r
+    e0, e1, e2, e3 = rot[0::4], rot[1::4], rot[2::4], rot[3::4]
+    for v in compress(range(t), d.axis):
+        e0[v], e1[v], e2[v], e3[v] = e1[v], e2[v], e3[v], e0[v]
+    new = list(range(n, n + 2 * t))
+    r, r2 = new[0::2], new[1::2]
+    alpha = list(dm.alpha) + [0] * (2 * t)
+    alpha[n::2], alpha[n + 1::2] = r2, r
+    sigma = list(dm.sigma) + [0] * (2 * t)
+    sigma[n::2], sigma[n + 1::2] = e0, e2  # r -> e0, r' -> e2
+    for x, y in zip(e1, r):  # e1 -> r
+        sigma[x] = y
+    for x, y in zip(e3, r2):  # e3 -> r'
+        sigma[x] = y
 
     poly = CombinatorialMap(*_medial_perms(alpha, sigma))
     census = poly.census

@@ -385,9 +385,15 @@ def _build_link(p) -> None:
     sub.add_parser("augment", help="augmented polyhedron of a diagram", build=_build_link_augment)
 
 
+_JONES_HELP = (
+    "|a_{n+1}|,|a_{m-1}| Jones coefficient magnitudes; write --jones=-1,2 "
+    "when the first is negative"
+)
+
+
 def _build_link_two_bridge(p) -> None:
     p.add_argument("--fraction", required=True, help="p/q with gcd(p,q)=1, 0<q<p")
-    p.add_argument("--jones", help="|a_{n+1}|,|a_{m-1}| Jones coefficient magnitudes")
+    p.add_argument("--jones", help=_JONES_HELP)
     p.add_argument("--bound")
     p.set_defaults(func=_cmd_link_two_bridge)
 
@@ -399,7 +405,7 @@ def _build_link_twists(p) -> None:
         required=True,
         help="comma-separated signed twist lengths; write --lengths=-3,4,-4 when the first is negative",
     )
-    p.add_argument("--jones")
+    p.add_argument("--jones", help=_JONES_HELP)
     p.add_argument("--bound")
     for name in HypothesisFlags._fields:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, action="store_true")

@@ -21,7 +21,9 @@ needs them.
 
 The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
 cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
-and the cube and bipyramids the duals of the octahedron and prisms.
+and the cube and bipyramids the duals of the octahedron and prisms.  A
+medial's permutations are gathered, by slices and ``itemgetter``, from one
+list of its darts, so it holds one int object per dart.
 """
 
 from __future__ import annotations
@@ -170,16 +172,17 @@ def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     label = [-1] * n
     order = []
     starts = []
+    append = order.append
     for start, d in enumerate(perm):
         if label[start] >= 0:
             continue
         k = label[start] = len(starts)
         pos = len(order)
         starts.append(pos)
-        order.append(start)
+        append(start)
         while label[d] < 0 <= d:
             label[d] = k
-            order.append(d)
+            append(d)
             d = perm[d]
         if d != start:
             raise ValueError(f"{d!r} is reached twice or lies outside 0..{n - 1}")
@@ -231,7 +234,8 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
     try:
         # alpha o alpha = id makes alpha a permutation (a negative entry
         # breaks it, one >= n raises), and with no fixed dart n is even
-        if by_alpha(alpha) != tuple(darts) or any(map(eq, alpha, darts)):
+        identity = tuple(darts)
+        if by_alpha(alpha) != identity or any(map(eq, alpha, identity)):
             raise ValueError("alpha is not a fixed-point-free involution")
         vertex_darts, vertex_starts, vertex_of = _orbits(sigma)
     except (ValueError, IndexError, TypeError):
@@ -311,19 +315,35 @@ def medial_census(c: SkeletonCensus) -> SkeletonCensus:
     )
 
 
+def _gather(seq, at) -> tuple:
+    """``(seq[at[0]], seq[at[1]], ...)`` in one C-level call.  ``at`` must
+    not be empty; a single index still gives a 1-tuple, where ``itemgetter``
+    would return the item itself."""
+    return itemgetter(*at)(seq) if len(at) != 1 else (seq[at[0]],)
+
+
 def _medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """alpha and sigma of the medial of the map ``(alpha, sigma)``, numbered
-    as :func:`medial` says; built by slices, and checks nothing."""
+    as :func:`medial` says; checks nothing.
+
+    Both are gathered from one list of the medial's darts, so the medial
+    holds one int object per dart: alpha is its two halves by slices,
+    sigma(2d + 1) = 2 alpha(sigma(d)) the even darts gathered at
+    alpha(sigma(d)), and sigma(2 sigma(d)) = 2d + 1 the odd darts written at
+    sigma(d).  The only Python-level loop is that last write, of one store
+    per input dart.
+    """
     n = len(sigma)
-    sigma_inv = [0] * n
-    for d, s in enumerate(sigma):
-        sigma_inv[s] = d
+    darts = list(range(2 * n))
+    evens, odds = darts[0::2], darts[1::2]
     alpha_med = [0] * (2 * n)
-    alpha_med[0::2] = range(1, 2 * n, 2)
-    alpha_med[1::2] = range(0, 2 * n, 2)
+    alpha_med[0::2], alpha_med[1::2] = odds, evens
     sigma_med = [0] * (2 * n)
-    sigma_med[0::2] = [2 * d + 1 for d in sigma_inv]
-    sigma_med[1::2] = [2 * alpha[s] for s in sigma]
+    sigma_med[1::2] = _gather(evens, _gather(alpha, sigma))
+    after = [0] * n
+    for s, d in zip(sigma, odds):
+        after[s] = d
+    sigma_med[0::2] = after
     return tuple(alpha_med), tuple(sigma_med)
 
 

@@ -14,7 +14,6 @@ of the underlying link is always the caller's assertion.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import gcd
 
 # `maps` is imported where a diagram map is built or read, so that twist
 # data and two-bridge fractions alone load no map code
@@ -93,13 +92,14 @@ def continued_fraction(p: int, q: int) -> list[int]:
         raise ValueError(f"continued_fraction: need p >= 2, got {p}")
     if not 0 < q < p:
         raise ValueError(f"continued_fraction: need 0 < q < p, got q={q}")
-    if gcd(p, q) != 1:
-        raise ValueError(f"continued_fraction: p and q must be coprime, got gcd={gcd(p, q)}")
     digits = []
     a, b = p, q
     while b:
-        digits.append(a // b)
-        a, b = b, a % b
+        digit, rest = divmod(a, b)
+        digits.append(digit)
+        a, b = b, rest
+    if a != 1:  # Euclid's last nonzero remainder is gcd(p, q)
+        raise ValueError(f"continued_fraction: p and q must be coprime, got gcd={a}")
     return digits
 
 
@@ -215,32 +215,29 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     # Vertex i owns darts 4i..4i+3 in counterclockwise rotation order
     # (right-top, left-top, left-bottom, right-bottom).
     RT, LT, LB, RB = 0, 1, 2, 3
-    sigma = list(range(1, 4 * t + 1))
-    sigma[RB::4] = range(0, 4 * t, 4)
+    darts = list(range(4 * t))
+    sigma = darts[1:] + darts[:1]
+    sigma[RB::4] = darts[0::4]
 
     # consecutive regions share the middle strand level: region i on the
-    # upper band and i+1 on the lower for even i, the other way for odd i
-    pairs = [
-        (4 * i + RB, 4 * i + 4 + LT) if i % 2 == 0 else (4 * i + RT, 4 * i + 4 + LB)
-        for i in range(t - 1)
-    ]
-    # next-nearest regions share their outer strand level
-    pairs += [
-        (4 * i + RT, 4 * i + 8 + LT) if i % 2 == 0 else (4 * i + RB, 4 * i + 8 + LB)
-        for i in range(t - 2)
-    ]
-    # left plat closure
-    pairs.append((LB, 4 + LB))
-    # right plat closure and the strand running over the top of the diagram
+    # upper band and i+1 on the lower for even i, the other way for odd i;
+    # next-nearest regions share their outer strand level.  Each line joins
+    # dart x of region i to dart y of region i + k for every i of one parity
+    # below t - k, both ends a slice of stride 8.
+    alpha = [-1] * (4 * t)
+    for parity, x, k, y in ((0, RB, 1, LT), (1, RT, 1, LB), (0, RT, 2, LT), (1, RB, 2, LB)):
+        here = slice(4 * parity + x, 4 * (t - k), 8)
+        there = slice(4 * (parity + k) + y, 4 * t, 8)
+        alpha[here], alpha[there] = darts[there], darts[here]
+    # left plat closure, then the right plat closure and the strand running
+    # over the top of the diagram
     last, before = 4 * (t - 1), 4 * (t - 2)
     if t % 2 == 1:
-        pairs += [(before + RB, last + RB), (last + RT, LT)]
+        closures = ((LB, 4 + LB), (before + RB, last + RB), (last + RT, LT))
     else:
-        pairs += [(before + RT, last + RT), (last + RB, LT)]
-
-    alpha = [-1] * (4 * t)
-    for a, b in pairs:
-        alpha[a], alpha[b] = b, a
+        closures = ((LB, 4 + LB), (before + RT, last + RT), (last + RB, LT))
+    for a, b in closures:
+        alpha[a], alpha[b] = darts[b], darts[a]
 
     diagram_map = CombinatorialMap(tuple(alpha), tuple(sigma))
     # bowtie triangles sit West/East of every horizontally drawn twist:

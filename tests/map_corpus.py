@@ -20,8 +20,15 @@ The library builds the octahedron, antiprisms, twisted antiprisms, cube and
 bipyramids with ``medial`` and ``dual``, so the tests compare those two with
 these oracles rather than with the library's builders.
 
+``oracle_medial_perms`` is the library's former medial construction, one
+comprehension per half of sigma, with the medial's dart numbers computed as
+2d and 2d + 1; ``volbounds.maps._medial_perms`` gathers them from one list
+of darts instead.
+
 ``continued_fraction_value`` evaluates a continued fraction exactly; the
 library only expands fractions, so the tests invert that with it.
+``oracle_continued_fraction`` is the library's former expansion, which
+tested gcd(p, q) before running Euclid.
 
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
 (3-connected), and maps made from them that are not, or that are only as
@@ -33,6 +40,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from volbounds.maps import (
     CombinatorialMap,
@@ -65,6 +73,25 @@ def continued_fraction_value(digits: list[int]) -> Fraction:
     for a in reversed(digits[:-1]):
         acc = a + 1 / acc
     return acc
+
+
+def oracle_continued_fraction(p: int, q: int) -> list[int]:
+    """Continued fraction of p/q, refusing bad input first, the gcd with
+    ``math.gcd``."""
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError("continued_fraction: p and q must be integers")
+    if p < 2:
+        raise ValueError(f"continued_fraction: need p >= 2, got {p}")
+    if not 0 < q < p:
+        raise ValueError(f"continued_fraction: need 0 < q < p, got q={q}")
+    if gcd(p, q) != 1:
+        raise ValueError(f"continued_fraction: p and q must be coprime, got gcd={gcd(p, q)}")
+    digits = []
+    a, b = p, q
+    while b:
+        digits.append(a // b)
+        a, b = b, a % b
+    return digits
 
 
 def _vertex_of(m: CombinatorialMap) -> list[int]:
@@ -120,6 +147,22 @@ def dual_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
         for d in orbit:
             face_of[d] = i
     return map_from_face_cycles([[face_of[d] for d in orbit] for orbit in vertex_orbits(m)])
+
+
+def oracle_medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """alpha and sigma of the medial of ``(alpha, sigma)``: darts 2d and
+    2d + 1 are the two halves of the medial edge in the corner after dart d."""
+    n = len(sigma)
+    sigma_inv = [0] * n
+    for d, s in enumerate(sigma):
+        sigma_inv[s] = d
+    alpha_med = [0] * (2 * n)
+    alpha_med[0::2] = range(1, 2 * n, 2)
+    alpha_med[1::2] = range(0, 2 * n, 2)
+    sigma_med = [0] * (2 * n)
+    sigma_med[0::2] = [2 * d + 1 for d in sigma_inv]
+    sigma_med[1::2] = [2 * alpha[s] for s in sigma]
+    return tuple(alpha_med), tuple(sigma_med)
 
 
 # ---------------------------------------------------------------------------

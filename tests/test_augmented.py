@@ -4,7 +4,12 @@ from math import gcd
 
 import pytest
 from augment_oracle import oracle_augment, split_diagram
-from map_corpus import continued_fraction_value, family_members, maps_isomorphic
+from map_corpus import (
+    continued_fraction_value,
+    family_members,
+    maps_isomorphic,
+    oracle_medial_perms,
+)
 
 from volbounds import cli
 from volbounds.augmented import AugmentError, augment, white_census_by_corner_count
@@ -12,6 +17,7 @@ from volbounds.links import link_report
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
+    _medial_perms,
     dual,
     face_orbits,
     is_three_connected,
@@ -427,3 +433,38 @@ class TestLinkRowsAreSplitPolyhedronRows:
         for t in range(9, 41):
             value = continued_fraction_value([2] * t)
             assert self.agree(two_bridge_diagram(value.numerator, value.denominator))
+
+
+def _large_two_bridge(t):
+    digits = [random.Random(t).randint(1, 5) for _ in range(t - 1)] + [2]
+    digits[0] = max(digits[0], 2)
+    value = continued_fraction_value(digits)
+    d = two_bridge_diagram(value.numerator, value.denominator)
+    assert d.t == t
+    return d
+
+
+class TestSplitMedialGathers:
+    """The medial of the split, gathered from one list of darts, has the
+    permutations of the former comprehensions."""
+
+    @staticmethod
+    def matches(d):
+        split = split_diagram(d)
+        return _medial_perms(split.alpha, split.sigma) == oracle_medial_perms(
+            split.alpha, split.sigma
+        )
+
+    def test_two_bridge_below_200(self):
+        assert all(self.matches(d) for d in _two_bridge_diagrams(199))
+
+    def test_two_bridge_at_1000_twists(self):
+        assert self.matches(_large_two_bridge(1000))
+
+    def test_random_axes(self):
+        assert all(self.matches(d) for d in _two_bridge_with_random_axes())
+        assert all(self.matches(d) for d in _medials_with_random_axes())
+
+    def test_p_holds_one_int_object_per_dart(self):
+        p = augment(_large_two_bridge(1000)).map
+        assert len({id(x) for x in p.alpha + p.sigma}) <= p.dart_count

@@ -246,6 +246,23 @@ class TestLinkTwoBridge:
             2, "", "error: --jones expects two comma-separated integers, got '1'\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_negative_jones_in_equals_form(self, fmt):
+        # the magnitudes are what count, so -1,2 reads as 1,2
+        base = ["--format", fmt, "link", "two-bridge", "--fraction", "55/17"]
+        signed = invoke(base + ["--jones=-1,2"])
+        assert signed[0] == 0
+        assert signed == invoke(base + ["--jones", "1,2"])
+
+    def test_negative_jones_as_separate_word_is_a_usage_error(self):
+        # argparse reads a separate "-1,2" as an option, so the help says
+        # to attach it with "="
+        code, out, err = invoke(["link", "two-bridge", "--fraction", "55/17", "--jones", "-1,2"])
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "volbounds link two-bridge: error: argument --jones: expected one argument\n"
+        )
+
     def test_figure_eight_flagging(self):
         code, out, _ = invoke(["--format", "json", "link", "two-bridge", "--fraction", "5/2"])
         doc = json.loads(out)

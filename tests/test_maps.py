@@ -20,6 +20,7 @@ from map_corpus import (
     maps_isomorphic,
     medial_from_orbits,
     oracle_check_map,
+    oracle_medial_perms,
     oracle_orbits,
     three_connectivity_corpus,
 )
@@ -837,3 +838,26 @@ class TestFlatOrbits:
     def test_census_is_unchanged(self, corpus):
         for m in FLAT_CORPORA[corpus]:
             assert m.census == oracle_check_map(m.alpha, m.sigma)
+
+
+class TestMedialGathers:
+    """``_medial_perms`` gathers the medial from one list of darts; it gives
+    the permutations of the former comprehensions, with one int object per
+    dart."""
+
+    @pytest.mark.parametrize("corpus", ["map corpus", "families up to n = 60"])
+    def test_matches_former_construction(self, corpus):
+        for m in FLAT_CORPORA[corpus]:
+            assert maps_module._medial_perms(m.alpha, m.sigma) == oracle_medial_perms(
+                m.alpha, m.sigma
+            )
+
+    @pytest.mark.parametrize("alpha,sigma", [((0,), (0,)), ((1, 0), (0, 1)), ((1, 0), (1, 0))])
+    def test_one_and_two_darts(self, alpha, sigma):
+        # itemgetter with one index returns the item itself, not a 1-tuple
+        assert maps_module._medial_perms(alpha, sigma) == oracle_medial_perms(alpha, sigma)
+
+    def test_one_int_object_per_dart(self):
+        for m in family_members(60):
+            med = medial(m)
+            assert len({id(x) for x in med.alpha + med.sigma}) <= med.dart_count

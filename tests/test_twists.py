@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from map_corpus import continued_fraction_value
+from map_corpus import continued_fraction_value, oracle_continued_fraction
 
 from volbounds.maps import MapError, validate_map
 from volbounds.twists import (
@@ -45,16 +45,33 @@ class TestContinuedFraction:
         assert continued_fraction_value(continued_fraction(p, q)) == Fraction(p, q)
 
     def test_constraint_violations(self):
-        with pytest.raises(ValueError):
-            continued_fraction(1, 1)
-        with pytest.raises(ValueError):
-            continued_fraction(10, 0)
-        with pytest.raises(ValueError):
-            continued_fraction(10, 10)
-        with pytest.raises(ValueError):
-            continued_fraction(10, 4)
-        with pytest.raises(ValueError, match="must be integers"):
-            continued_fraction(5.0, 2)
+        for p, q, message in (
+            (1, 1, "need p >= 2, got 1"),
+            (10, 0, "need 0 < q < p, got q=0"),
+            (10, 10, "need 0 < q < p, got q=10"),
+            (10, 4, "p and q must be coprime, got gcd=2"),
+            (5.0, 2, "p and q must be integers"),
+        ):
+            with pytest.raises(ValueError) as info:
+                continued_fraction(p, q)
+            assert str(info.value) == f"continued_fraction: {message}"
+
+    def test_matches_former_expansion_up_to_300(self):
+        # the gcd is read off Euclid's last remainder; the former expansion
+        # tested it first.  Both give the same digits or the same refusal.
+        def outcome(expand, p, q):
+            try:
+                return expand(p, q)
+            except ValueError as err:
+                return str(err)
+
+        refused = 0
+        for p in range(-1, 301):
+            for q in range(-1, p + 2):
+                mine = outcome(continued_fraction, p, q)
+                assert mine == outcome(oracle_continued_fraction, p, q), (p, q)
+                refused += isinstance(mine, str)
+        assert refused > 15000
 
 
 class TestTwistStats:
