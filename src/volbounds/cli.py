@@ -180,7 +180,7 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
     bounds = polyhedra.rectification_bounds(m)
     if family in family_bounds:
         name, hypotheses, citation, expr = family_bounds[family]
-        extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n))
+        extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n), set())
         bounds = mark_best(bounds + [extra])
     doc["bounds"] = _bound_rows(bounds)
     doc["warnings"] = []

@@ -2,15 +2,18 @@
 
 All bounds take the twist decomposition of a diagram (and, for some, extra
 data: Jones coefficients, the white face census of the augmented polyhedron).
-Hyperbolicity and diagram-level hypotheses (reduced, alternating, named-link
-exclusions) cannot be decided from a decomposition, so they enter as caller
-flags that gate applicability; the report never silently assumes them.
+Diagram-level hypotheses that a decomposition cannot decide (reduced,
+alternating, two-bridge, named-link exclusions) enter as caller flags, all
+off by default.  Two printed hypotheses are not gated yet (ROADMAP item 3):
+"hyperbolic", on every row, and "prime alternating non-torus knot", on the
+Jones rows.  A row that prints them assumes them.
 
 Each hypothesis is checked in one place.  A ``*_expr`` function raises
 :class:`NotApplicable`, with a message, when a hypothesis on its own numeric
-arguments fails (e.g. ``t > 8``); it takes no flags.  :func:`link_report`
-gates a row, through ``bound_row(..., applicable=...)``, only on what those
-arguments cannot show: the caller's flags and optional data.
+arguments fails (e.g. ``t > 8``); it takes no flags.  Every other gated
+hypothesis is the text a row prints: :func:`link_report` collects the texts
+its flags and optional data fail, and :func:`bound_row` marks inapplicable
+each row that prints one of them.
 
 Bounds are assembled as exact rational combinations of the transcendental
 constants (see :class:`VolumeExpr`); the report converts each to a float in
@@ -211,6 +214,15 @@ def jones_bounds_expr(abs_a2: int, abs_penultimate: int) -> tuple[VolumeExpr, Vo
     return lower, upper
 
 
+def _jones_upper_expr(abs_a2: int, abs_penultimate: int) -> VolumeExpr:
+    """The upper row of :func:`jones_bounds_expr`, which bounds nothing unless
+    |a_{n+1}| + |a_{m-1}| - 1 > 0: below that it raises :class:`NotApplicable`."""
+    upper = jones_bounds_expr(abs_a2, abs_penultimate)[1]
+    if abs_a2 + abs_penultimate - 1 <= 0:
+        raise NotApplicable("Jones upper bound needs |a_{n+1}| + |a_{m-1}| - 1 > 0")
+    return upper
+
+
 def _check_white_census(t: int, white_census: dict[int, int]) -> None:
     """Raise :class:`CensusMismatchError` unless every size n >= 3, every
     count f_n >= 0 and sum n f_n = 6t."""
@@ -238,6 +250,56 @@ def white_face_expr(t: int, white_census: dict[int, int]) -> VolumeExpr:
 # ---------------------------------------------------------------------------
 
 
+# Every row of the report: name, kind, printed hypotheses, citation, and its
+# exact form from (twist stats, white census, Jones pair).
+_ROWS = (
+    ("adams-crossing", "upper", ("hyperbolic", "not the figure-eight knot"),
+     "Adams 1983 crossing-number bound",
+     lambda s, w, j: adams_crossing_expr(s.c)),
+    ("adams-octahedral", "upper", ("hyperbolic", "c >= 5"),
+     "Adams 2013 octahedral bound (value computed from the exact form)",
+     lambda s, w, j: adams_octahedral_expr(s.c)),
+    ("agol-thurston", "upper", ("hyperbolic",),
+     "Agol-Thurston appendix to Lackenby 2004",
+     lambda s, w, j: agol_thurston_expr(s.t)),
+    ("dasbach-tsvietkova", "upper", ("hyperbolic", "reduced diagram (alternating or not)"),
+     "Dasbach-Tsvietkova 2015/2019",
+     lambda s, w, j: dasbach_tsvietkova_expr(s)),
+    ("adams-twist", "upper",
+     ("hyperbolic", "reduced alternating", "c >= 5", "t >= 3", "not the Borromean rings"),
+     "Adams 2017 twist-length bound",
+     lambda s, w, j: adams_twist_expr(s)),
+    ("large-twist", "upper", ("hyperbolic", "t > 8"),
+     "augmented-link decomposition bound for t > 8",
+     lambda s, w, j: large_twist_expr(s.t)),
+    ("large-twist-refined", "upper", ("hyperbolic", "t > 8", "white census known"),
+     "augmented-link bound refined by the white triangles",
+     lambda s, w, j: large_twist_refined_expr(s.t, w.get(3, 0))),
+    ("white-face", "upper", ("hyperbolic", "white census known"),
+     "white-face-census refinement of the augmented-link decomposition",
+     lambda s, w, j: white_face_expr(s.t, w)),
+    ("fkp-lower", "lower",
+     ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
+     "Futer-Kalfagianni-Purcell lower bound",
+     lambda s, w, j: fkp_lower_expr(s.t, s.min_length)),
+    ("two-bridge-lower", "lower", ("hyperbolic", "two-bridge", "reduced alternating"),
+     "Gueritaud-Futer two-bridge bounds",
+     lambda s, w, j: two_bridge_bounds_expr(s.t)[0]),
+    ("two-bridge-upper", "upper", ("hyperbolic", "two-bridge", "reduced alternating"),
+     "Gueritaud-Futer two-bridge bounds",
+     lambda s, w, j: two_bridge_bounds_expr(s.t)[1]),
+)
+# ... followed, when Jones coefficients are given, by the two Jones rows
+_ROWS_WITH_JONES = _ROWS + (
+    ("jones-lower", "lower", ("hyperbolic", "prime alternating non-torus knot"),
+     "Dasbach-Lin Jones-coefficient bounds",
+     lambda s, w, j: jones_bounds_expr(*j)[0]),
+    ("jones-upper", "upper", ("hyperbolic", "prime alternating non-torus knot"),
+     "Dasbach-Lin Jones-coefficient bounds",
+     lambda s, w, j: _jones_upper_expr(*j)),
+)
+
+
 def link_report(
     d: TwistDecomposition,
     flags: HypothesisFlags = HypothesisFlags(),
@@ -251,119 +313,23 @@ def link_report(
     never exceeds min upper.
     """
     s = twist_stats(d)
-    reduced_alternating = flags.reduced and flags.alternating
-    delta = None
     if white_census is not None:
         _check_white_census(s.t, white_census)
-        delta = white_census.get(3, 0)
-    tb_ok = flags.two_bridge and reduced_alternating
-    rows = [
-        bound_row(
-            "adams-crossing",
-            "upper",
-            ("hyperbolic", "not the figure-eight knot"),
-            "Adams 1983 crossing-number bound",
-            lambda: adams_crossing_expr(s.c),
-            applicable=flags.not_figure_eight,
-        ),
-        bound_row(
-            "adams-octahedral",
-            "upper",
-            ("hyperbolic", "c >= 5"),
-            "Adams 2013 octahedral bound (value computed from the exact form)",
-            lambda: adams_octahedral_expr(s.c),
-        ),
-        bound_row(
-            "agol-thurston",
-            "upper",
-            ("hyperbolic",),
-            "Agol-Thurston appendix to Lackenby 2004",
-            lambda: agol_thurston_expr(s.t),
-        ),
-        bound_row(
-            "dasbach-tsvietkova",
-            "upper",
-            ("hyperbolic", "reduced diagram (alternating or not)"),
-            "Dasbach-Tsvietkova 2015/2019",
-            lambda: dasbach_tsvietkova_expr(s),
-            applicable=flags.reduced,
-        ),
-        bound_row(
-            "adams-twist",
-            "upper",
-            ("hyperbolic", "reduced alternating", "c >= 5", "t >= 3", "not the Borromean rings"),
-            "Adams 2017 twist-length bound",
-            lambda: adams_twist_expr(s),
-            applicable=reduced_alternating and flags.not_borromean,
-        ),
-        bound_row(
-            "large-twist",
-            "upper",
-            ("hyperbolic", "t > 8"),
-            "augmented-link decomposition bound for t > 8",
-            lambda: large_twist_expr(s.t),
-        ),
-        bound_row(
-            "large-twist-refined",
-            "upper",
-            ("hyperbolic", "t > 8", "white census known"),
-            "augmented-link bound refined by the white triangles",
-            lambda: large_twist_refined_expr(s.t, delta),
-            applicable=delta is not None,
-        ),
-        bound_row(
-            "white-face",
-            "upper",
-            ("hyperbolic", "white census known"),
-            "white-face-census refinement of the augmented-link decomposition",
-            lambda: white_face_expr(s.t, white_census),
-            applicable=white_census is not None,
-        ),
-        bound_row(
-            "fkp-lower",
-            "lower",
-            ("hyperbolic", "reduced alternating", "t >= 2", "all twist lengths >= 7"),
-            "Futer-Kalfagianni-Purcell lower bound",
-            lambda: fkp_lower_expr(s.t, s.min_length),
-            applicable=reduced_alternating,
-        ),
-        bound_row(
-            "two-bridge-lower",
-            "lower",
-            ("hyperbolic", "two-bridge", "reduced alternating"),
-            "Gueritaud-Futer two-bridge bounds",
-            lambda: two_bridge_bounds_expr(s.t)[0],
-            applicable=tb_ok,
-        ),
-        bound_row(
-            "two-bridge-upper",
-            "upper",
-            ("hyperbolic", "two-bridge", "reduced alternating"),
-            "Gueritaud-Futer two-bridge bounds",
-            lambda: two_bridge_bounds_expr(s.t)[1],
-            applicable=tb_ok,
-        ),
-    ]
-    if jones_coefficients is not None:
-        a2, penult = jones_coefficients
-        rows += [
-            bound_row(
-                "jones-lower",
-                "lower",
-                ("hyperbolic", "prime alternating non-torus knot"),
-                "Dasbach-Lin Jones-coefficient bounds",
-                lambda: jones_bounds_expr(a2, penult)[0],
-            ),
-            bound_row(
-                "jones-upper",
-                "upper",
-                ("hyperbolic", "prime alternating non-torus knot"),
-                "Dasbach-Lin Jones-coefficient bounds",
-                lambda: jones_bounds_expr(a2, penult)[1],
-                applicable=a2 + penult - 1 > 0,
-            ),
-        ]
-    return mark_best(rows)
+    holds = (
+        ("reduced diagram (alternating or not)", flags.reduced),
+        ("reduced alternating", flags.reduced and flags.alternating),
+        ("two-bridge", flags.two_bridge),
+        ("not the figure-eight knot", flags.not_figure_eight),
+        ("not the Borromean rings", flags.not_borromean),
+        ("white census known", white_census is not None),
+    )
+    unmet = {text for text, held in holds if not held}
+    table = _ROWS if jones_coefficients is None else _ROWS_WITH_JONES
+    w, j = white_census, jones_coefficients
+    return mark_best([
+        bound_row(name, kind, hyps, cite, lambda f=form: f(s, w, j), unmet)
+        for name, kind, hyps, cite, form in table
+    ])
 
 
 def two_bridge_inputs(p: int, q: int) -> tuple[TwistDecomposition, HypothesisFlags, dict[int, int]]:

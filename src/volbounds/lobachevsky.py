@@ -353,23 +353,23 @@ class Bound(
     __slots__ = ()
 
 
-def bound_row(name, kind, hypotheses, citation, compute, applicable=True) -> Bound:
-    """Row whose value is ``compute().value``, evaluated only when
-    ``applicable``: every report row leaves exact arithmetic here.
+def bound_row(name, kind, hypotheses, citation, compute, unmet) -> Bound:
+    """Row whose value is ``compute().value``: every report row leaves exact
+    arithmetic here.
 
-    Each hypothesis of a row is gated in one place.  ``compute`` raises
-    :class:`NotApplicable` for a hypothesis on its own numeric arguments,
-    which makes the row inapplicable; ``applicable`` carries only what those
-    arguments cannot show (caller flags, presence of optional data).  An
-    inapplicable row has value ``None``.
+    The row is applicable iff none of its printed ``hypotheses`` is in
+    ``unmet``, the set of hypothesis texts the report's inputs fail, and
+    ``compute`` does not raise :class:`NotApplicable` (a hypothesis on its own
+    numeric arguments).  ``compute`` runs only when no printed hypothesis is
+    unmet.  An inapplicable row has value ``None``.
     """
     value = None
-    if applicable:
+    if unmet.isdisjoint(hypotheses):
         try:
             value = compute().value
         except NotApplicable:
-            applicable = False
-    return Bound(name, kind, value, applicable, hypotheses, citation)
+            pass
+    return Bound(name, kind, value, value is not None, hypotheses, citation)
 
 
 def mark_best(rows: list[Bound]) -> list[Bound]:

@@ -8,8 +8,12 @@ polyhedra with face-census refinements, and re-express them in terms of the
 edge count of the original skeleton.
 
 Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
-...) as ``hypotheses`` strings beside its ``applicable`` mark; inputs are
-purely combinatorial, so the geometric hypotheses are the caller's assertion.
+...) as ``hypotheses`` strings, and those strings are its gate: a row is
+inapplicable when it prints a hypothesis the skeleton fails.  The only such
+text the skeleton decides is "vertex degrees in {3,4}"; the report refuses a
+skeleton that is not 3-connected.  "non-obtuse" is a geometric hypothesis the
+skeleton cannot show and no caller flag carries yet (ROADMAP item 3(e)), so
+``atkinson-mixed`` assumes it.
 """
 
 from __future__ import annotations
@@ -127,6 +131,37 @@ def prism_atkinson_expr(n: int) -> VolumeExpr:
 
 
 _IRP_HYP = ("ideal-right-angled medial (rectification)",)
+_DEGREES_34 = "vertex degrees in {3,4}"
+
+# Every row of the report: name, kind, printed hypotheses, citation, and its
+# exact form from (skeleton census, medial census, irp_bounds_expr of the medial).
+_ROWS = (
+    ("atkinson-mixed", "upper", ("non-obtuse", _DEGREES_34),
+     "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
+     lambda c, mc, irp: atkinson_mixed_expr(c.v3, c.v4)),
+    ("edge-bound", "upper", ("3-connected skeleton",),
+     "vertex-count bounds for ideal right-angled polyhedra applied to the medial",
+     lambda c, mc, irp: thm_edge_expr(c.E)),
+    ("triangle-trivalent", "upper", ("3-connected skeleton",),
+     "face-census refinement of the edge-count bound",
+     lambda c, mc, irp: triangle_trivalent_expr(c.E, c.v3, c.p3)),
+    ("medial-vertex-count", "upper", _IRP_HYP,
+     "Atkinson 2009 vertex-count bounds (with V>=8 and V>24 refinements)",
+     lambda c, mc, irp: irp[1]),
+    ("medial-face-census", "upper", _IRP_HYP,
+     "bipyramid-decomposition face-census bound",
+     lambda c, mc, irp: face_census_expr(mc)),
+    ("medial-face-census-log", "upper", _IRP_HYP,
+     "logarithmic bipyramid bound",
+     lambda c, mc, irp: face_census_log_expr(mc)),
+    ("medial-triangle-count", "upper", _IRP_HYP,
+     "triangle-aware vertex-count bound",
+     lambda c, mc, irp: irp_triangle_expr(mc.V, mc.p3)),
+    ("medial-vertex-count-lower", "lower",
+     _IRP_HYP + ("lower bound for the rectification volume, i.e. for sup vol",),
+     "Atkinson 2009 lower bound",
+     lambda c, mc, irp: irp[0]),
+)
 
 
 def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
@@ -143,65 +178,9 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
     if not is_three_connected(m):
         raise ValueError("rectification_bounds: skeleton must be 3-connected")
     med_census = medial_census(census)
-    lower, upper = irp_bounds_expr(med_census.V)
-
-    rows = [
-        bound_row(
-            "atkinson-mixed",
-            "upper",
-            ("non-obtuse", "vertex degrees in {3,4}"),
-            "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
-            lambda: atkinson_mixed_expr(census.v3, census.v4),
-            applicable=set(census.degree_counts) <= {3, 4},
-        ),
-        bound_row(
-            "edge-bound",
-            "upper",
-            ("3-connected skeleton",),
-            "vertex-count bounds for ideal right-angled polyhedra applied to the medial",
-            lambda: thm_edge_expr(census.E),
-        ),
-        bound_row(
-            "triangle-trivalent",
-            "upper",
-            ("3-connected skeleton",),
-            "face-census refinement of the edge-count bound",
-            lambda: triangle_trivalent_expr(census.E, census.v3, census.p3),
-        ),
-        bound_row(
-            "medial-vertex-count",
-            "upper",
-            _IRP_HYP,
-            "Atkinson 2009 vertex-count bounds (with V>=8 and V>24 refinements)",
-            lambda: upper,
-        ),
-        bound_row(
-            "medial-face-census",
-            "upper",
-            _IRP_HYP,
-            "bipyramid-decomposition face-census bound",
-            lambda: face_census_expr(med_census),
-        ),
-        bound_row(
-            "medial-face-census-log",
-            "upper",
-            _IRP_HYP,
-            "logarithmic bipyramid bound",
-            lambda: face_census_log_expr(med_census),
-        ),
-        bound_row(
-            "medial-triangle-count",
-            "upper",
-            _IRP_HYP,
-            "triangle-aware vertex-count bound",
-            lambda: irp_triangle_expr(med_census.V, med_census.p3),
-        ),
-        bound_row(
-            "medial-vertex-count-lower",
-            "lower",
-            _IRP_HYP + ("lower bound for the rectification volume, i.e. for sup vol",),
-            "Atkinson 2009 lower bound",
-            lambda: lower,
-        ),
-    ]
-    return mark_best(rows)
+    unmet = set() if census.degree_counts.keys() <= {3, 4} else {_DEGREES_34}
+    irp = irp_bounds_expr(med_census.V)
+    return mark_best([
+        bound_row(name, kind, hyps, cite, lambda f=form: f(census, med_census, irp), unmet)
+        for name, kind, hyps, cite, form in _ROWS
+    ])

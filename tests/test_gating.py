@@ -7,12 +7,22 @@ twist length below and at least 7, each with and without a white census and
 Jones data.  Regenerate with `PYTHONPATH=src python tests/test_gating.py`;
 any byte of difference is a change in which rows apply, to be made on
 purpose.
+
+The other tests pin the rule behind the gating: a row's printed hypotheses
+are its gate.  Each text a row prints is either decided by the report's
+inputs, and then falsifying that input makes exactly the rows that print it
+inapplicable, or it is listed in `NOT_GATED` with the reason.
 """
 
+import re
 from itertools import product
 from pathlib import Path
 
-from volbounds.links import HypothesisFlags, link_report
+import pytest
+
+from volbounds.links import HypothesisFlags, NotApplicable, _jones_upper_expr, link_report
+from volbounds.maps import pyramid
+from volbounds.polyhedra import rectification_bounds
 from volbounds.twists import TwistDecomposition
 
 GOLDEN = Path(__file__).parent / "golden" / "gating.txt"
@@ -83,6 +93,121 @@ def gating_transcript() -> str:
 
 def test_gating_golden():
     assert gating_transcript() == GOLDEN.read_text()
+
+
+NUMERIC = "numeric: the *_expr raises"
+# printed hypotheses that no input of either report decides, with the reason
+NOT_GATED = {
+    "hyperbolic": "ROADMAP 3(d): no flag carries it",
+    "prime alternating non-torus knot": "ROADMAP 3(a): no flag carries it",
+    "non-obtuse": "ROADMAP 3(e): no flag carries it",
+    "c >= 5": NUMERIC,
+    "t >= 3": NUMERIC,
+    "t >= 2": NUMERIC,
+    "t > 8": NUMERIC,
+    "all twist lengths >= 7": NUMERIC,
+    "3-connected skeleton": "rectification_bounds refuses every other skeleton",
+    "ideal-right-angled medial (rectification)": "holds for every skeleton the report accepts",
+    "lower bound for the rectification volume, i.e. for sup vol": "what the row bounds, no condition",
+}
+
+ALL_FLAGS = HypothesisFlags(*(True,) * len(FLAG_NAMES))
+# a link input meeting every hypothesis: t = 9 twists, all of length 7
+LINK_BASE = {
+    "d": TwistDecomposition((7,) * 9),
+    "flags": ALL_FLAGS,
+    "white_census": white_census(9),
+    "jones_coefficients": (1, 2),
+}
+# each change to LINK_BASE that falsifies an input, with the texts it falsifies
+LINK_FALSIFIERS = {
+    "reduced": (
+        {"flags": ALL_FLAGS._replace(reduced=False)},
+        {"reduced diagram (alternating or not)", "reduced alternating"},
+    ),
+    "alternating": ({"flags": ALL_FLAGS._replace(alternating=False)}, {"reduced alternating"}),
+    "two_bridge": ({"flags": ALL_FLAGS._replace(two_bridge=False)}, {"two-bridge"}),
+    "not_figure_eight": (
+        {"flags": ALL_FLAGS._replace(not_figure_eight=False)},
+        {"not the figure-eight knot"},
+    ),
+    "not_borromean": (
+        {"flags": ALL_FLAGS._replace(not_borromean=False)},
+        {"not the Borromean rings"},
+    ),
+    "white census": ({"white_census": None}, {"white census known"}),
+}
+# for each numeric text, twist lengths that fail it
+NUMERIC_FALSIFIERS = {
+    "c >= 5": (1, 1, 2),
+    "t >= 3": (7, 7),
+    "t >= 2": (7,),
+    "t > 8": (7,) * 8,
+    "all twist lengths >= 7": (7, 6, 7),
+}
+# pyramid(4) has degrees 3 and 4 only; pyramid(5)'s apex has degree 5
+POLY_DEGREES = "vertex degrees in {3,4}"
+
+
+def _printed(rows) -> set[str]:
+    return {h for r in rows for h in r.hypotheses}
+
+
+def _inapplicable(rows) -> set[str]:
+    return {r.name for r in rows if not r.applicable}
+
+
+def _printing(rows, texts) -> set[str]:
+    return {r.name for r in rows if texts.intersection(r.hypotheses)}
+
+
+def test_every_printed_hypothesis_is_gated_or_listed():
+    gated = {POLY_DEGREES}.union(*(texts for _, texts in LINK_FALSIFIERS.values()))
+    printed = _printed(link_report(**LINK_BASE)) | _printed(rectification_bounds(pyramid(4)))
+    assert not gated & NOT_GATED.keys()
+    assert printed == gated | NOT_GATED.keys()
+    assert NUMERIC_FALSIFIERS.keys() == {h for h, why in NOT_GATED.items() if why == NUMERIC}
+
+
+def test_base_inputs_meet_every_hypothesis():
+    assert not _inapplicable(link_report(**LINK_BASE))
+    assert not _inapplicable(rectification_bounds(pyramid(4)))
+
+
+@pytest.mark.parametrize("falsified", sorted(LINK_FALSIFIERS))
+def test_falsified_link_input_gates_exactly_the_rows_printing_it(falsified):
+    change, texts = LINK_FALSIFIERS[falsified]
+    rows = link_report(**{**LINK_BASE, **change})
+    assert _printing(rows, texts)
+    assert _inapplicable(rows) == _printing(rows, texts)
+
+
+@pytest.mark.parametrize("text", sorted(NUMERIC_FALSIFIERS))
+def test_failed_numeric_hypothesis_gates_every_row_printing_it(text):
+    lengths = NUMERIC_FALSIFIERS[text]
+    rows = link_report(TwistDecomposition(lengths), ALL_FLAGS, white_census(len(lengths)), (1, 2))
+    assert _printing(rows, {text})
+    assert _printing(rows, {text}) <= _inapplicable(rows)
+
+
+def test_degree_five_vertex_gates_exactly_the_rows_printing_it():
+    rows = rectification_bounds(pyramid(5))
+    assert _inapplicable(rows) == _printing(rows, {POLY_DEGREES}) == {"atkinson-mixed"}
+
+
+@pytest.mark.parametrize(
+    "jones, upper_applies", [((0, 0), False), ((0, 1), False), ((1, 0), False), ((1, 1), True)]
+)
+def test_jones_upper_needs_a_positive_bound(jones, upper_applies):
+    rows = {r.name: r for r in link_report(**{**LINK_BASE, "jones_coefficients": jones})}
+    assert rows["jones-lower"].applicable
+    assert rows["jones-upper"].applicable == upper_applies
+    assert (rows["jones-upper"].value is None) != upper_applies
+
+
+def test_jones_upper_expr_names_its_condition():
+    with pytest.raises(NotApplicable, match=re.escape("|a_{n+1}| + |a_{m-1}| - 1 > 0")):
+        _jones_upper_expr(0, 1)
 
 
 if __name__ == "__main__":

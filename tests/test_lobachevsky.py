@@ -14,8 +14,10 @@ from volbounds.links import adams_twist_expr, white_face_expr
 from volbounds.lobachevsky import (
     V_OCT,
     V_TET,
+    NotApplicable,
     VolumeExpr,
     antiprism_expr,
+    bound_row,
     antiprism_volume,
     lobachevsky,
     lobachevsky_quadrature,
@@ -248,3 +250,25 @@ class TestVolumeExpr:
         for bad in (("lob", 8), ("lob", 1, 8, 1), ("lob", 1.0, 8)):
             with pytest.raises((ValueError, TypeError)):
                 VolumeExpr({bad: 1})
+
+
+class TestBoundRow:
+    """A row applies iff it prints no unmet hypothesis and compute succeeds."""
+
+    def test_printed_unmet_hypothesis_skips_compute(self):
+        def compute():
+            raise AssertionError("computed a gated row")
+
+        row = bound_row("r", "upper", ("a", "b"), "c", compute, {"b"})
+        assert not row.applicable and row.value is None
+
+    def test_unmet_hypotheses_the_row_does_not_print_are_ignored(self):
+        row = bound_row("r", "upper", ("a",), "c", lambda: VolumeExpr.v_tet(2), {"b"})
+        assert row.applicable and row.value == VolumeExpr.v_tet(2).value
+
+    def test_not_applicable_from_compute_makes_the_row_inapplicable(self):
+        def compute():
+            raise NotApplicable("numeric hypothesis fails")
+
+        row = bound_row("r", "lower", ("a",), "c", compute, set())
+        assert not row.applicable and row.value is None

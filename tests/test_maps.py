@@ -198,7 +198,7 @@ def _records() -> dict:
         "decomposition": diagram.decomposition(),
         "twist stats": twist_stats(diagram.decomposition()),
         "flags": HypothesisFlags(reduced=True, not_borromean=True),
-        "bound": bound_row("octahedral", "upper", ("prism",), "test", lambda: VolumeExpr.v_oct(2)),
+        "bound": bound_row("octahedral", "upper", ("prism",), "test", lambda: VolumeExpr.v_oct(2), set()),
         "census": m.census,
         "augmented polyhedron": augment(diagram),
     }
