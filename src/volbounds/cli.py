@@ -76,7 +76,7 @@ def _census_block(census) -> dict:
     }
 
 
-def _bound_rows(bounds) -> list[dict]:
+def _row_dicts(bounds) -> list[dict]:
     return [
         {
             "name": b.name,
@@ -153,36 +153,27 @@ def _cmd_constants(args) -> int:
 
 def _poly_doc(m, description: str, family=None, n=None) -> dict:
     from . import polyhedra
-    from .lobachevsky import antiprism_expr, bound_row, mark_best, twisted_antiprism_expr
-    # upper-bound row added to a family member's report:
-    # (name, hypotheses, citation, exact form of member n)
-    family_bounds = {
+    from .lobachevsky import antiprism_expr, mark_best, report, twisted_antiprism_expr
+    # row added to a family member's report, its exact form a function of n
+    family_rows = {
         "prism": (
-            "prism-atkinson",
-            ("prism",),
-            "Atkinson 2011 prism bound",
+            "prism-atkinson", "upper", ("prism",), "Atkinson 2011 prism bound",
             polyhedra.prism_atkinson_expr,
         ),
         "pyramid": (
-            "antiprism-volume",
-            ("exact rectification volume",),
-            "Thurston antiprism volume (exact sup)",
-            antiprism_expr,
+            "antiprism-volume", "upper", ("exact rectification volume",),
+            "Thurston antiprism volume (exact sup)", antiprism_expr,
         ),
         "two-apex-pyramid": (
-            "twisted-antiprism-volume",
-            ("exact rectification volume",),
-            "twisted antiprism volume (exact sup)",
-            twisted_antiprism_expr,
+            "twisted-antiprism-volume", "upper", ("exact rectification volume",),
+            "twisted antiprism volume (exact sup)", twisted_antiprism_expr,
         ),
     }
     doc: dict = {"input": description, "census": _census_block(m.census)}
     bounds = polyhedra.rectification_bounds(m)
-    if family in family_bounds:
-        name, hypotheses, citation, expr = family_bounds[family]
-        extra = bound_row(name, "upper", hypotheses, citation, lambda: expr(n), set())
-        bounds = mark_best(bounds + [extra])
-    doc["bounds"] = _bound_rows(bounds)
+    if family in family_rows:
+        bounds = mark_best(bounds + report((family_rows[family],), set(), n))
+    doc["bounds"] = _row_dicts(bounds)
     doc["warnings"] = []
     return doc
 
@@ -256,7 +247,7 @@ def _link_doc(decomposition, flags, white_census=None, jones=None, description="
     if white_census is not None:
         doc["white_census"] = {str(k): v for k, v in sorted(white_census.items())}
     rows = links.link_report(decomposition, flags, white_census=white_census, jones_coefficients=jones)
-    doc["bounds"] = _bound_rows(rows)
+    doc["bounds"] = _row_dicts(rows)
     doc["warnings"] = []
     return doc
 

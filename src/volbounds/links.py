@@ -12,12 +12,12 @@ Each hypothesis is checked in one place.  A ``*_expr`` function raises
 :class:`NotApplicable`, with a message, when a hypothesis on its own numeric
 arguments fails (e.g. ``t > 8``); it takes no flags.  Every other gated
 hypothesis is the text a row prints: :func:`link_report` collects the texts
-its flags and optional data fail, and :func:`bound_row` marks inapplicable
-each row that prints one of them.
+its flags and optional data fail, and :func:`~volbounds.lobachevsky.report`
+marks inapplicable each row that prints one of them.
 
 Bounds are assembled as exact rational combinations of the transcendental
 constants (see :class:`VolumeExpr`); the report converts each to a float in
-:func:`bound_row`.
+:func:`~volbounds.lobachevsky.report`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lobachevsky import (
-    Bound, NotApplicable, VolumeExpr, bound_row, face_sum_expr, irp_triangle_expr, mark_best
+    Bound, NotApplicable, VolumeExpr, face_sum_expr, irp_triangle_expr, mark_best, report
 )
 from .twists import (
     TwistDecomposition, TwistStats, twist_stats, two_bridge_lengths, two_bridge_white_census
@@ -325,11 +325,7 @@ def link_report(
     )
     unmet = {text for text, held in holds if not held}
     table = _ROWS if jones_coefficients is None else _ROWS_WITH_JONES
-    w, j = white_census, jones_coefficients
-    return mark_best([
-        bound_row(name, kind, hyps, cite, lambda f=form: f(s, w, j), unmet)
-        for name, kind, hyps, cite, form in table
-    ])
+    return mark_best(report(table, unmet, s, white_census, jones_coefficients))
 
 
 def two_bridge_inputs(p: int, q: int) -> tuple[TwistDecomposition, HypothesisFlags, dict[int, int]]:

@@ -12,7 +12,7 @@ v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
   that is only converted to floating point at the boundary, and
 * :class:`Bound`, the report row that the polyhedron and link reports share,
-  with its constructor :func:`bound_row` and :func:`mark_best`.
+  with :func:`report`, which evaluates a table of rows, and :func:`mark_best`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "irp_triangle_expr",
     "NotApplicable",
     "Bound",
-    "bound_row",
+    "report",
     "mark_best",
 ]
 
@@ -194,7 +194,7 @@ class VolumeExpr:
     """Exact rational combination of {1, v_tet, v_oct, L(p*pi/q), pi*log(n/2)}.
 
     Bounds are assembled in this form and converted to floating point only at
-    the boundary (:func:`bound_row`), so coefficient-level identities (e.g.
+    the boundary (:func:`report`), so coefficient-level identities (e.g.
     "equals 4*v_tet") can be asserted exactly.  Each L(p*pi/q) has one key.
     """
 
@@ -353,23 +353,27 @@ class Bound(
     __slots__ = ()
 
 
-def bound_row(name, kind, hypotheses, citation, compute, unmet) -> Bound:
-    """Row whose value is ``compute().value``: every report row leaves exact
-    arithmetic here.
+def report(rows, unmet, *inputs) -> list[Bound]:
+    """The rows of a table ``(name, kind, hypotheses, citation, form)``, in
+    table order and unmarked, each with value ``form(*inputs).value``: every
+    report row leaves exact arithmetic here.
 
-    The row is applicable iff none of its printed ``hypotheses`` is in
-    ``unmet``, the set of hypothesis texts the report's inputs fail, and
-    ``compute`` does not raise :class:`NotApplicable` (a hypothesis on its own
-    numeric arguments).  ``compute`` runs only when no printed hypothesis is
-    unmet.  An inapplicable row has value ``None``.
+    A row is applicable iff none of its printed ``hypotheses`` is in
+    ``unmet``, the set of hypothesis texts the report's inputs fail, and its
+    ``form`` does not raise :class:`NotApplicable` (a hypothesis on its own
+    numeric arguments).  A form runs only when no printed hypothesis is unmet.
+    An inapplicable row has value ``None``.
     """
-    value = None
-    if unmet.isdisjoint(hypotheses):
-        try:
-            value = compute().value
-        except NotApplicable:
-            pass
-    return Bound(name, kind, value, value is not None, hypotheses, citation)
+    bounds = []
+    for name, kind, hypotheses, citation, form in rows:
+        value = None
+        if unmet.isdisjoint(hypotheses):
+            try:
+                value = form(*inputs).value
+            except NotApplicable:
+                pass
+        bounds.append(Bound(name, kind, value, value is not None, hypotheses, citation))
+    return bounds
 
 
 def mark_best(rows: list[Bound]) -> list[Bound]:

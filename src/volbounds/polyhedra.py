@@ -8,12 +8,13 @@ polyhedra with face-census refinements, and re-express them in terms of the
 edge count of the original skeleton.
 
 Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
-...) as ``hypotheses`` strings, and those strings are its gate: a row is
-inapplicable when it prints a hypothesis the skeleton fails.  The only such
-text the skeleton decides is "vertex degrees in {3,4}"; the report refuses a
-skeleton that is not 3-connected.  "non-obtuse" is a geometric hypothesis the
-skeleton cannot show and no caller flag carries yet (ROADMAP item 3(e)), so
-``atkinson-mixed`` assumes it.
+...) as ``hypotheses`` strings, and those strings are its gate:
+:func:`~volbounds.lobachevsky.report` marks a row inapplicable when it prints
+a hypothesis the skeleton fails.  The only such text the skeleton decides is
+"vertex degrees in {3,4}"; the report refuses a skeleton that is not
+3-connected.  "non-obtuse" is a geometric hypothesis the skeleton cannot show
+and no caller flag carries yet (ROADMAP item 3(e)), so ``atkinson-mixed``
+assumes it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lobachevsky import (
-    Bound, VolumeExpr, bound_row, face_sum_expr, irp_triangle_expr, mark_best
+    Bound, VolumeExpr, face_sum_expr, irp_triangle_expr, mark_best, report
 )
 from .maps import (
     CombinatorialMap,
@@ -104,10 +105,8 @@ def face_census_expr(census: SkeletonCensus) -> VolumeExpr:
 def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
     """Logarithmic form pi * sum_n log(n/2) p_n - 4 v_tet of the face-census bound."""
     _require_irp_census(census)
-    total = VolumeExpr.v_tet(-4)
-    for n, count in sorted(census.face_counts.items()):
-        total = total + VolumeExpr.pilog(n, count)
-    return total
+    logs = VolumeExpr({("pilog", n): count for n, count in sorted(census.face_counts.items())})
+    return VolumeExpr.v_tet(-4) + logs
 
 
 def triangle_trivalent_expr(e: int, v3: int, p3: int) -> VolumeExpr:
@@ -135,13 +134,14 @@ _DEGREES_34 = "vertex degrees in {3,4}"
 
 # Every row of the report: name, kind, printed hypotheses, citation, and its
 # exact form from (skeleton census, medial census, irp_bounds_expr of the medial).
+# edge-bound is thm_edge_expr(E), read off irp: the medial has V = E vertices.
 _ROWS = (
     ("atkinson-mixed", "upper", ("non-obtuse", _DEGREES_34),
      "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
      lambda c, mc, irp: atkinson_mixed_expr(c.v3, c.v4)),
     ("edge-bound", "upper", ("3-connected skeleton",),
      "vertex-count bounds for ideal right-angled polyhedra applied to the medial",
-     lambda c, mc, irp: thm_edge_expr(c.E)),
+     lambda c, mc, irp: irp[1]),
     ("triangle-trivalent", "upper", ("3-connected skeleton",),
      "face-census refinement of the edge-count bound",
      lambda c, mc, irp: triangle_trivalent_expr(c.E, c.v3, c.p3)),
@@ -180,7 +180,4 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
     med_census = medial_census(census)
     unmet = set() if census.degree_counts.keys() <= {3, 4} else {_DEGREES_34}
     irp = irp_bounds_expr(med_census.V)
-    return mark_best([
-        bound_row(name, kind, hyps, cite, lambda f=form: f(census, med_census, irp), unmet)
-        for name, kind, hyps, cite, form in _ROWS
-    ])
+    return mark_best(report(_ROWS, unmet, census, med_census, irp))

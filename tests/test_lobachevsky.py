@@ -17,10 +17,10 @@ from volbounds.lobachevsky import (
     NotApplicable,
     VolumeExpr,
     antiprism_expr,
-    bound_row,
     antiprism_volume,
     lobachevsky,
     lobachevsky_quadrature,
+    report,
     twisted_antiprism_expr,
     twisted_antiprism_volume,
 )
@@ -252,23 +252,52 @@ class TestVolumeExpr:
                 VolumeExpr({bad: 1})
 
 
-class TestBoundRow:
-    """A row applies iff it prints no unmet hypothesis and compute succeeds."""
+class TestReport:
+    """A row applies iff it prints no unmet hypothesis and its form succeeds."""
 
-    def test_printed_unmet_hypothesis_skips_compute(self):
-        def compute():
+    def test_printed_unmet_hypothesis_skips_the_form(self):
+        def form():
             raise AssertionError("computed a gated row")
 
-        row = bound_row("r", "upper", ("a", "b"), "c", compute, {"b"})
+        (row,) = report((("r", "upper", ("a", "b"), "c", form),), {"b"})
         assert not row.applicable and row.value is None
 
     def test_unmet_hypotheses_the_row_does_not_print_are_ignored(self):
-        row = bound_row("r", "upper", ("a",), "c", lambda: VolumeExpr.v_tet(2), {"b"})
+        (row,) = report((("r", "upper", ("a",), "c", lambda: VolumeExpr.v_tet(2)),), {"b"})
         assert row.applicable and row.value == VolumeExpr.v_tet(2).value
 
-    def test_not_applicable_from_compute_makes_the_row_inapplicable(self):
-        def compute():
+    def test_not_applicable_from_the_form_makes_the_row_inapplicable(self):
+        def form():
             raise NotApplicable("numeric hypothesis fails")
 
-        row = bound_row("r", "lower", ("a",), "c", compute, set())
+        (row,) = report((("r", "lower", ("a",), "c", form),), set())
         assert not row.applicable and row.value is None
+
+    def test_each_form_runs_once_on_the_inputs_in_table_order(self):
+        calls = []
+
+        def recording(name, coef):
+            def form(*args):
+                calls.append((name, args))
+                return VolumeExpr.v_oct(coef)
+            return form
+
+        table = [(n, "upper", ("a",), "c", recording(n, k)) for k, n in enumerate("xyz", 1)]
+        rows = report(table, set(), 1, "two")
+        assert calls == [("x", (1, "two")), ("y", (1, "two")), ("z", (1, "two"))]
+        assert [r.name for r in rows] == ["x", "y", "z"]
+        assert [r.value for r in rows] == [VolumeExpr.v_oct(k).value for k in (1, 2, 3)]
+        assert not any(r.best for r in rows)
+
+    def test_a_row_that_prints_an_unmet_text_never_calls_its_form(self):
+        calls = []
+
+        def form(*args):
+            calls.append(args)
+            return VolumeExpr.v_tet()
+
+        table = [("gated", "upper", ("a", "b"), "c", form), ("open", "lower", ("a",), "c", form)]
+        gated, applied = report(table, {"b"}, 7)
+        assert calls == [(7,)]
+        assert gated.value is None and not gated.applicable
+        assert applied.applicable and applied.value == VolumeExpr.v_tet().value

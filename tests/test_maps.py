@@ -28,7 +28,7 @@ from map_corpus import (
 import volbounds.maps as maps_module
 from volbounds.augmented import augment
 from volbounds.links import HypothesisFlags
-from volbounds.lobachevsky import VolumeExpr, bound_row
+from volbounds.lobachevsky import VolumeExpr, report
 from volbounds.maps import (
     CombinatorialMap,
     MapError,
@@ -198,7 +198,9 @@ def _records() -> dict:
         "decomposition": diagram.decomposition(),
         "twist stats": twist_stats(diagram.decomposition()),
         "flags": HypothesisFlags(reduced=True, not_borromean=True),
-        "bound": bound_row("octahedral", "upper", ("prism",), "test", lambda: VolumeExpr.v_oct(2), set()),
+        "bound": report(
+            [("octahedral", "upper", ("prism",), "test", lambda: VolumeExpr.v_oct(2))], set()
+        )[0],
         "census": m.census,
         "augmented polyhedron": augment(diagram),
     }

@@ -14,6 +14,7 @@ from volbounds.maps import (
     MapError,
     SkeletonCensus,
     cube,
+    medial_census,
     prism,
     pyramid,
     tetrahedron,
@@ -132,6 +133,18 @@ class TestFaceCensusBounds:
 
     def test_log_q14(self):
         assert face_census_log_expr(Q14_CENSUS).value == pytest.approx(19.1961997555398, abs=1e-9)
+
+    def test_log_is_the_term_by_term_sum(self):
+        # one expression, with the terms and float sum of the face-by-face build
+        for m in family_members(30):
+            census = medial_census(m.census)
+            summed = VolumeExpr.v_tet(-4)
+            for n, count in sorted(census.face_counts.items()):
+                summed = summed + VolumeExpr.pilog(n, count)
+            built = face_census_log_expr(census)
+            assert built == summed
+            assert list(built.terms) == list(summed.terms)
+            assert repr(built) == repr(summed) and built.value == summed.value
 
     def test_rejects_non_four_regular(self):
         bad = SkeletonCensus(V=4, E=6, F=4, degree_counts={3: 4}, face_counts={3: 4})
