@@ -14,11 +14,11 @@ from volbounds.polyhedra import prism_atkinson_expr, rectification_bounds
 
 
 def best_rows(skeleton):
+    """The best lower bound, and the best upper bound with the name of the
+    first row marked best."""
     rows = rectification_bounds(skeleton)
-    uppers = [(r.value, r.name) for r in rows if r.applicable and r.kind == "upper"]
-    lower = max(r.value for r in rows if r.applicable and r.kind == "lower")
-    value, name = min(uppers)
-    return lower, value, name
+    lower, upper = (next(r for r in rows if r.best and r.kind == kind) for kind in ("lower", "upper"))
+    return lower.value, upper.value, upper.name
 
 
 def main():

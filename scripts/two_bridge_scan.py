@@ -49,8 +49,9 @@ def main():
         for _ in range(args.samples):
             p, q = random_fraction(rng, t)
             rows = link_report(*two_bridge_inputs(p, q))
-            upper = min(r.value for r in rows if r.applicable and r.kind == "upper")
-            lower = max(r.value for r in rows if r.applicable and r.kind == "lower")
+            upper, lower = (
+                next(r.value for r in rows if r.best and r.kind == kind) for kind in ("upper", "lower")
+            )
             if lower > upper:
                 sys.exit(f"b({p}/{q}): best lower bound {lower:.6f} exceeds best upper bound {upper:.6f}")
             uppers.append(upper)

@@ -205,22 +205,18 @@ def two_bridge_bounds_expr(t: int) -> tuple[VolumeExpr, VolumeExpr]:
 
 
 def jones_bounds_expr(abs_a2: int, abs_penultimate: int) -> tuple[VolumeExpr, VolumeExpr]:
-    """Jones-coefficient bounds (lower, upper) for prime alternating non-torus
-    knots: v_oct max(|a_{m-1}|, |a_{n+1}|-1) <= vol <= 10 v_tet (|a_{n+1}| + |a_{m-1}| - 1)."""
+    """Dasbach-Lin bounds (lower, upper) for prime alternating non-torus knots:
+    v_oct (max(|a_{n+1}|, |a_{m-1}|) - 1) <= vol <= 10 v_tet (|a_{n+1}| + |a_{m-1}| - 1).
+
+    The sum |a_{n+1}| + |a_{m-1}| is the knot's twist number, at least 2 in
+    that class; below 2 the pair raises :class:`NotApplicable`."""
     if abs_a2 < 0 or abs_penultimate < 0:
         raise ValueError("jones_bounds_expr: coefficient magnitudes must be nonnegative")
-    lower = VolumeExpr.v_oct(max(abs_penultimate, abs_a2 - 1))
+    if abs_a2 + abs_penultimate < 2:
+        raise NotApplicable("Jones bounds need |a_{n+1}| + |a_{m-1}| >= 2")
+    lower = VolumeExpr.v_oct(max(abs_a2, abs_penultimate) - 1)
     upper = VolumeExpr.v_tet(10 * (abs_a2 + abs_penultimate - 1))
     return lower, upper
-
-
-def _jones_upper_expr(abs_a2: int, abs_penultimate: int) -> VolumeExpr:
-    """The upper row of :func:`jones_bounds_expr`, which bounds nothing unless
-    |a_{n+1}| + |a_{m-1}| - 1 > 0: below that it raises :class:`NotApplicable`."""
-    upper = jones_bounds_expr(abs_a2, abs_penultimate)[1]
-    if abs_a2 + abs_penultimate - 1 <= 0:
-        raise NotApplicable("Jones upper bound needs |a_{n+1}| + |a_{m-1}| - 1 > 0")
-    return upper
 
 
 def _check_white_census(t: int, white_census: dict[int, int]) -> None:
@@ -296,7 +292,7 @@ _ROWS_WITH_JONES = _ROWS + (
      lambda s, w, j: jones_bounds_expr(*j)[0]),
     ("jones-upper", "upper", ("hyperbolic", "prime alternating non-torus knot"),
      "Dasbach-Lin Jones-coefficient bounds",
-     lambda s, w, j: _jones_upper_expr(*j)),
+     lambda s, w, j: jones_bounds_expr(*j)[1]),
 )
 
 

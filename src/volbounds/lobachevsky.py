@@ -203,6 +203,8 @@ class VolumeExpr:
     def __init__(self, terms=None):
         cleaned = {}
         for key, coef in dict(terms or {}).items():
+            if not isinstance(coef, (int, Fraction)):
+                raise TypeError(f"VolumeExpr: coefficient {coef!r} is not an int or Fraction")
             frac = Fraction(coef)
             if key[0] == "lob":
                 key, frac = _lob_term(key, frac)

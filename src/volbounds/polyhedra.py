@@ -34,7 +34,6 @@ from .maps import (
 __all__ = [
     "atkinson_mixed_expr",
     "irp_bounds_expr",
-    "thm_edge_expr",
     "face_census_expr",
     "face_census_log_expr",
     "irp_triangle_expr",
@@ -81,15 +80,6 @@ def irp_bounds_expr(v: int) -> tuple[VolumeExpr, VolumeExpr]:
     return lower, upper
 
 
-def thm_edge_expr(e: int) -> VolumeExpr:
-    """Edge-count upper bound for a generalized hyperbolic polyhedron: the
-    vertex-count upper bound of :func:`irp_bounds_expr` carried to the
-    medial, whose vertex count is E."""
-    if e < 6:
-        raise ValueError("thm_edge_expr: a polyhedron has at least 6 edges")
-    return irp_bounds_expr(e)[1]
-
-
 def _require_irp_census(census: SkeletonCensus) -> None:
     if not census.is_four_regular():
         raise ValueError("face-census bounds require a 4-regular (ideal right-angled) census")
@@ -134,7 +124,8 @@ _DEGREES_34 = "vertex degrees in {3,4}"
 
 # Every row of the report: name, kind, printed hypotheses, citation, and its
 # exact form from (skeleton census, medial census, irp_bounds_expr of the medial).
-# edge-bound is thm_edge_expr(E), read off irp: the medial has V = E vertices.
+# edge-bound, the edge-count bound irp_bounds_expr(E)[1], is read off the one irp
+# the report computes: the medial has V = E vertices.
 _ROWS = (
     ("atkinson-mixed", "upper", ("non-obtuse", _DEGREES_34),
      "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",

@@ -218,7 +218,7 @@ def test_c07f_two_bridge_bounds(worked_example):
 
 def test_c07g_jones_bounds(worked_example):
     lower, upper = jones_bounds_expr(1, 2)
-    assert lower == VolumeExpr.v_oct(2)
+    assert lower == VolumeExpr.v_oct(1)
     assert upper == VolumeExpr.v_tet(20)
 
 

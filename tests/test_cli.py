@@ -225,7 +225,7 @@ class TestLinkTwoBridge:
         assert doc["twists"]["t"] == 3 and doc["twists"]["c"] == 11
         assert doc["white_census"] == {"3": 2, "4": 3}
         by_name = {r["name"]: r for r in doc["bounds"]}
-        assert by_name["jones-lower"]["value"] == "7.327725"
+        assert by_name["jones-lower"]["value"] == "3.663862"
         assert by_name["two-bridge-upper"]["best"] is True
         assert doc["warnings"] == []
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from volbounds.links import HypothesisFlags, NotApplicable, _jones_upper_expr, link_report
+from volbounds.links import HypothesisFlags, NotApplicable, jones_bounds_expr, link_report
 from volbounds.maps import pyramid
 from volbounds.polyhedra import rectification_bounds
 from volbounds.twists import TwistDecomposition
@@ -199,15 +199,18 @@ def test_degree_five_vertex_gates_exactly_the_rows_printing_it():
     "jones, upper_applies", [((0, 0), False), ((0, 1), False), ((1, 0), False), ((1, 1), True)]
 )
 def test_jones_upper_needs_a_positive_bound(jones, upper_applies):
+    # 10 v_tet (|a_{n+1}| + |a_{m-1}| - 1) is positive iff the twist number is
+    # at least 2, as for every prime alternating non-torus knot: the pair's
+    # one gate makes both rows inapplicable below that
     rows = {r.name: r for r in link_report(**{**LINK_BASE, "jones_coefficients": jones})}
-    assert rows["jones-lower"].applicable
-    assert rows["jones-upper"].applicable == upper_applies
-    assert (rows["jones-upper"].value is None) != upper_applies
+    for name in ("jones-lower", "jones-upper"):
+        assert rows[name].applicable == upper_applies
+        assert (rows[name].value is None) != upper_applies
 
 
-def test_jones_upper_expr_names_its_condition():
-    with pytest.raises(NotApplicable, match=re.escape("|a_{n+1}| + |a_{m-1}| - 1 > 0")):
-        _jones_upper_expr(0, 1)
+def test_jones_bounds_expr_names_its_condition():
+    with pytest.raises(NotApplicable, match=re.escape("|a_{n+1}| + |a_{m-1}| >= 2")):
+        jones_bounds_expr(0, 1)
 
 
 if __name__ == "__main__":

@@ -234,17 +234,22 @@ class TestTwoBridge:
 class TestJones:
     def test_worked_example(self):
         lower, upper = jones_bounds_expr(1, 2)
-        assert lower == VolumeExpr.v_oct(2)
+        assert lower == VolumeExpr.v_oct(1)
         assert upper == VolumeExpr.v_tet(20)
 
     def test_max_parse(self):
-        lower, upper = (b.value for b in jones_bounds_expr(1, 1))
-        assert lower == pytest.approx(V_OCT, abs=1e-12)
-        assert upper == pytest.approx(10 * V_TET, abs=1e-12)
+        # v_oct (max(|a_{n+1}|, |a_{m-1}|) - 1), symmetric in the two coefficients
+        lower, upper = jones_bounds_expr(1, 1)
+        assert lower == VolumeExpr()
+        assert upper.value == pytest.approx(10 * V_TET, abs=1e-12)
+        assert jones_bounds_expr(1, 3)[0] == jones_bounds_expr(3, 1)[0] == VolumeExpr.v_oct(2)
 
     def test_degenerate(self):
-        lower, upper = (b.value for b in jones_bounds_expr(0, 0))
-        assert upper == pytest.approx(-10 * V_TET, abs=1e-12)
+        # twist number |a_{n+1}| + |a_{m-1}| below 2: no prime alternating non-torus knot
+        for pair in ((0, 0), (0, 1), (1, 0)):
+            with pytest.raises(NotApplicable):
+                jones_bounds_expr(*pair)
+        assert jones_bounds_expr(2, 0) == (VolumeExpr.v_oct(1), VolumeExpr.v_tet(10))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -432,3 +437,24 @@ def test_mirror_of_7_2_has_two_twists():
     by_name = {r.name: r for r in two_bridge_report(7, 5)}
     assert by_name["two-bridge-lower"].value == pytest.approx(4 * V_TET - 2.7066, abs=1e-12)
     assert by_name["two-bridge-lower"].value < 2.828
+
+
+class TestTwistKnotsWithJonesData:
+    """Twist knots have Jones data (1, 1): the figure-eight knot 4_1 = b(5/2)
+    has Jones polynomial t^-2 - t^-1 + 1 - t + t^2, and 5_2 = b(7/2) and
+    6_1 = b(9/2) have the same second and penultimate coefficients."""
+
+    def test_figure_eight_volume_is_inside_every_bound(self):
+        # vol(4_1) = 2 v_tet exactly
+        rows = link_report(*two_bridge_inputs(5, 2), jones_coefficients=(1, 1))
+        assert {r.name for r in rows if r.applicable} >= {"jones-lower", "jones-upper"}
+        for row in rows:
+            if row.applicable:
+                assert (row.value <= 2 * V_TET) if row.kind == "lower" else (2 * V_TET <= row.value)
+
+    @pytest.mark.parametrize("p", (7, 9))
+    def test_best_lower_bound_is_below_the_whitehead_link(self, p):
+        # twist knots are Dehn fillings of the Whitehead link, of volume v_oct
+        rows = link_report(*two_bridge_inputs(p, 2), jones_coefficients=(1, 1))
+        (best,) = (r for r in rows if r.best and r.kind == "lower")
+        assert best.value < V_OCT

@@ -246,6 +246,19 @@ class TestVolumeExpr:
         )
         assert repr(face_census_expr(q14)) == "VolumeExpr(24*L(pi/3) + 24*L(pi/4) + -4*v_tet)"
 
+    def test_float_coefficients_refused(self):
+        # a float is stored as its binary value: 0.1 would be 3602879701896397/2**55
+        for build in (VolumeExpr.v_tet, VolumeExpr.v_oct, VolumeExpr.constant,
+                      lambda c: VolumeExpr.lob(8, c), lambda c: VolumeExpr.pilog(4, c),
+                      lambda c: VolumeExpr({"v_tet": c})):
+            with pytest.raises(TypeError, match="0.1"):
+                build(0.1)
+            with pytest.raises(TypeError):
+                build(1.0)
+            assert build(Fraction(1, 10)) == Fraction(1, 10) * build(1)
+        with pytest.raises(TypeError):
+            VolumeExpr.v_tet(5) * 0.5
+
     def test_malformed_lob_key_rejected(self):
         for bad in (("lob", 8), ("lob", 1, 8, 1), ("lob", 1.0, 8)):
             with pytest.raises((ValueError, TypeError)):

@@ -28,7 +28,6 @@ from volbounds.polyhedra import (
     irp_triangle_expr,
     prism_atkinson_expr,
     rectification_bounds,
-    thm_edge_expr,
     triangle_trivalent_expr,
 )
 
@@ -91,27 +90,30 @@ class TestIrpBounds:
 
 
 class TestEdgeBound:
+    """The edge-count bound: irp_bounds_expr's upper half at V = E."""
+
     def test_tetrahedron(self):
-        assert thm_edge_expr(6) == VolumeExpr.v_oct()
+        assert irp_bounds_expr(6)[1] == VolumeExpr.v_oct()
 
     def test_mid_range(self):
-        assert thm_edge_expr(12).value == pytest.approx(12.8235183184811, abs=1e-9)
+        assert irp_bounds_expr(12)[1].value == pytest.approx(12.8235183184811, abs=1e-9)
 
     def test_large(self):
-        assert thm_edge_expr(25).value == pytest.approx(9.5 * V_OCT, abs=1e-9)
+        assert irp_bounds_expr(25)[1].value == pytest.approx(9.5 * V_OCT, abs=1e-9)
 
     def test_small_e_rejected(self):
         with pytest.raises(ValueError):
-            thm_edge_expr(5)
+            irp_bounds_expr(5)
 
-    def test_is_the_medial_vertex_count_bound(self):
+    def test_is_the_medial_vertex_count_bound(self, accepted_skeletons):
         # the medial of a skeleton with E edges has E vertices
-        for e in range(6, 500):
-            assert thm_edge_expr(e) == irp_bounds_expr(e)[1]
+        for census, rows in accepted_skeletons:
+            assert medial_census(census).V == census.E
+            assert rows["edge-bound"].value == irp_bounds_expr(census.E)[1].value
 
     def test_monotone_tightening(self):
         for e in range(25, 40):
-            tight = thm_edge_expr(e)
+            tight = irp_bounds_expr(e)[1]
             generic = VolumeExpr.v_oct(Fraction(e, 2) - Fraction(5, 2))
             assert tight.value <= generic.value + 1e-12
 
@@ -245,7 +247,7 @@ class TestThresholdCharacterization:
         for e in range(27, 80, 3):
             for p3 in range(0, 2 * e // 3, 2):
                 trivalent = triangle_trivalent_expr(e, 2 * e // 3, p3).value
-                edge = thm_edge_expr(e).value
+                edge = irp_bounds_expr(e)[1].value
                 assert (trivalent < edge) == (e + r1 * p3 > r2)
 
 
@@ -335,7 +337,7 @@ class TestRefinementRelations:
         assert len(accepted_skeletons) > 600
 
     def test_edge_bound_is_medial_vertex_count(self, accepted_skeletons):
-        # (a) in row form; TestEdgeBound pins thm_edge_expr(E) == irp_bounds_expr(E)[1]
+        # (a) in row form; TestEdgeBound pins edge-bound == irp_bounds_expr(E)[1]
         for _, rows in accepted_skeletons:
             assert rows["edge-bound"].value == rows["medial-vertex-count"].value
 
