@@ -16,8 +16,8 @@ slice per-orbit tuples out of that only when asked.  The check sorts
 nothing: one composition alpha o alpha and sigma's one orbit walk accept a
 valid map, and only what they refuse meets the ordered diagnosis.
 Multigraphs are allowed at the map level (link-diagram graphs have parallel
-edges); polyhedral-skeleton checks are applied only where an operation
-needs them.
+edges); :func:`is_three_connected`, the polyhedral-skeleton test, refuses
+them, and it is applied only where an operation needs it.
 
 The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
 cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
@@ -365,53 +365,37 @@ def dual(m: CombinatorialMap) -> CombinatorialMap:
 
 
 def is_three_connected(m: CombinatorialMap) -> bool:
-    """3-connectivity of the underlying simple graph, from its faces.
+    """Whether ``m`` is the map of a 3-connected simple graph, from its faces.
 
-    Loops are dropped and each class of parallel edges keeps one edge; both
-    deletions keep the embedding planar.  For a planar map with V >= 4 the
-    simple graph is 3-connected iff every face is bounded by a simple cycle
-    and any two faces meet in nothing, one vertex or one edge (the
-    polyhedral-embedding criterion; Mohar and Thomassen, *Graphs on
-    Surfaces*, 2001).  Two faces that share two vertices, or two vertices on
-    two faces, form a 4-cycle of the vertex-face incidence graph.  Once
-    every face is a simple cycle, each edge closes exactly one such 4-cycle,
-    its two ends and its two sides (distinct faces, as a face through both
-    sides of an edge would repeat a vertex), and no two edges close the
-    same one.  So the criterion holds iff the incidence graph has exactly
-    as many 4-cycles as the simple graph has edges.  They are counted from
-    their first node in degree order (Chiba and Nishizeki, 1985), so the
-    cost is O(N log N) on N darts, the log for one sort.
+    A map with a loop or two edges joining the same two vertices is not.
+    For a simple planar map with V >= 4 the graph is 3-connected iff every
+    face is bounded by a simple cycle and any two faces meet in nothing, one
+    vertex or one edge (the polyhedral-embedding criterion; Mohar and
+    Thomassen, *Graphs on Surfaces*, 2001).  Two faces that share two
+    vertices, or two vertices on two faces, form a 4-cycle of the
+    vertex-face incidence graph.  Once every face is a simple cycle, each
+    edge closes exactly one such 4-cycle, its two ends and its two sides
+    (distinct faces, as a face through both sides of an edge would repeat a
+    vertex), and no two edges close the same one.  So the criterion holds
+    iff the incidence graph has exactly as many 4-cycles as the graph has
+    edges.  They are counted from their first node in degree order (Chiba
+    and Nishizeki, 1985), so the cost is O(N log N) on N darts, the log for
+    one sort.  The faces are the ones the map's check traced.
     """
     if m.census.V < 4:
         raise ValueError("is_three_connected: need at least 4 vertices")
-    alpha, sigma, vertex_of = m.alpha, m.sigma, m._vertex_of
-    n = m.dart_count
+    vertex_of = m._vertex_of
+    # a loop gives its pair of ends twice, as does an edge parallel to another
+    if len(set(zip(vertex_of, _gather(vertex_of, m.alpha)))) != m.dart_count:
+        return False
 
-    # the simple graph keeps the first dart pair joining each vertex pair
-    kept = [False] * n
-    pairs = set()
-    for d in range(n):
-        u, w = vertex_of[d], vertex_of[alpha[d]]
-        if u != w and (u, w) not in pairs:
-            pairs.add((u, w))
-            pairs.add((w, u))
-            kept[d] = kept[alpha[d]] = True
-
-    # its faces, walked on sigma past the dropped darts; each must visit
-    # distinct vertices.  Incidence nodes 0..V-1 are vertices, V.. faces.
-    seen = [False] * n
-    incidence: list[list[int]] = [[] for _ in range(m.census.V)]
-    for start in range(n):
-        if not kept[start] or seen[start]:
-            continue
-        face = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            face.append(vertex_of[d])
-            d = sigma[alpha[d]]
-            while not kept[d]:
-                d = sigma[d]
+    # incidence nodes 0..V-1 are vertices, V.. faces; a face must visit
+    # distinct vertices
+    around = _gather(vertex_of, m._face_darts)
+    starts = m._face_starts
+    incidence: list[list[int] | tuple[int, ...]] = [[] for _ in range(m.census.V)]
+    for i, j in zip(starts, starts[1:]):
+        face = around[i:j]
         if len(set(face)) != len(face):
             return False
         for v in face:
@@ -431,7 +415,7 @@ def is_three_connected(m: CombinatorialMap) -> bool:
             if rank[y] > rank[x]:
                 opposite.update(z for z in incidence[y] if rank[z] > rank[x])
         cycles += sum(k * (k - 1) // 2 for k in opposite.values())
-    return cycles == len(pairs) // 2
+    return cycles == m.census.E
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
 ...) as ``hypotheses`` strings, and those strings are its gate:
 :func:`~volbounds.lobachevsky.report` marks a row inapplicable when it prints
 a hypothesis the skeleton fails.  The only such text the skeleton decides is
-"vertex degrees in {3,4}"; the report refuses a skeleton that is not
-3-connected.  "non-obtuse" is a geometric hypothesis the skeleton cannot show
+"vertex degrees in {3,4}"; the report refuses a skeleton that is not the
+map of a 3-connected simple graph, a map with a loop or a parallel edge
+among them.  "non-obtuse" is a geometric hypothesis the skeleton cannot show
 and no caller flag carries yet (ROADMAP item 3(e)), so ``atkinson-mixed``
 assumes it.
 """

@@ -156,7 +156,7 @@ def two_bridge_lengths(p: int, q: int) -> tuple[int, ...]:
         digits = [digits[1] + 1, *digits[2:]]
     if len(digits) < 2:
         raise ValueError(
-            f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
+            f"two_bridge_lengths: b({p}/{q}) has a single twist region: a (2, {p}) torus link"
         )
     return tuple(digits)
 

@@ -30,9 +30,14 @@ library only expands fractions, so the tests invert that with it.
 ``oracle_continued_fraction`` is the library's former expansion, which
 tested gcd(p, q) before running Euclid.
 
+``simple`` tells whether a map has no loop and no two edges with the same
+ends; ``brute_force_three_connected`` looks only at the simple graph under a
+map, so a map is polyhedral when both hold.
+
 ``three_connectivity_corpus`` builds the differential corpus: polyhedra
-(3-connected), and maps made from them that are not, or that are only as
-simple graphs (loops and parallel edges added).
+(3-connected), maps made from them that are not, and maps whose simple
+graph is 3-connected but which have loops or parallel edges added (these
+are not polyhedral).
 """
 
 from __future__ import annotations
@@ -100,6 +105,17 @@ def _vertex_of(m: CombinatorialMap) -> list[int]:
         for d in cyc:
             vertex_of[d] = i
     return vertex_of
+
+
+def simple(m: CombinatorialMap) -> bool:
+    """No loop, and no two edges with the same ends."""
+    vertex_of = _vertex_of(m)
+    ends = [
+        frozenset((vertex_of[d], vertex_of[m.alpha[d]]))
+        for d in range(m.dart_count)
+        if d < m.alpha[d]
+    ]
+    return all(len(e) == 2 for e in ends) and len(set(ends)) == len(ends)
 
 
 def brute_force_three_connected(m: CombinatorialMap) -> bool:

@@ -232,7 +232,7 @@ class TestLinkTwoBridge:
     def test_torus_link_refused(self):
         # 7/6 is the mirror of the torus link 7/1
         assert invoke(["link", "two-bridge", "--fraction", "7/6"]) == (
-            2, "", "error: two_bridge_diagram: b(7/6) has a single twist region, degenerate as a map\n"
+            2, "", "error: two_bridge_lengths: b(7/6) has a single twist region: a (2, 7) torus link\n"
         )
 
     def test_mirror_is_named(self):
@@ -281,7 +281,7 @@ class TestLinkTwoBridge:
 
     def test_single_twist_refused(self):
         assert invoke(["link", "two-bridge", "--fraction", "3/1"]) == (
-            2, "", "error: two_bridge_diagram: b(3/1) has a single twist region, degenerate as a map\n"
+            2, "", "error: two_bridge_lengths: b(3/1) has a single twist region: a (2, 3) torus link\n"
         )
 
 

@@ -22,6 +22,7 @@ from map_corpus import (
     oracle_check_map,
     oracle_medial_perms,
     oracle_orbits,
+    simple,
     three_connectivity_corpus,
 )
 
@@ -640,9 +641,21 @@ class TestThreeConnectivity:
         disagreements = [
             i
             for i, m in enumerate(CONNECTIVITY[kind])
-            if is_three_connected(m) != brute_force_three_connected(m)
+            if is_three_connected(m) != (simple(m) and brute_force_three_connected(m))
         ]
         assert disagreements == []
+
+    def test_multigraph_on_a_polyhedron_has_a_small_face(self):
+        # a polyhedral embedding leaves an extra edge copy or a loop only
+        # one face to lie in, so the innermost one bounds a 1- or 2-gon
+        multi = [
+            m
+            for ms in CONNECTIVITY.values()
+            for m in ms
+            if not simple(m) and brute_force_three_connected(m)
+        ]
+        assert len(multi) >= 100
+        assert [m.census.min_face_size for m in multi if m.census.min_face_size > 2] == []
 
 
 FAMILY_LADDERS = [

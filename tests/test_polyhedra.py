@@ -1,7 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from map_corpus import delete_edge, double_edge, family_members, three_connectivity_corpus
+from map_corpus import (
+    brute_force_three_connected,
+    delete_edge,
+    double_edge,
+    family_members,
+    simple,
+    three_connectivity_corpus,
+)
 
 from volbounds.lobachevsky import (
     V_OCT,
@@ -296,11 +303,26 @@ class TestRectificationBounds:
     def test_antiprism_asymptotics(self):
         assert abs(antiprism_volume(1000) / 1000 - V_OCT / 2) < 1e-2
 
-    def test_doubled_edge_refused_by_face_size(self):
-        # 3-connected as a simple graph, but the doubled edge bounds a 2-gon
-        with pytest.raises(MapError) as err:
+    def test_doubled_edge_refused_as_not_three_connected(self):
+        # 3-connected as a simple graph, but a map with a parallel edge is not
+        # the map of a 3-connected simple graph
+        with pytest.raises(ValueError, match="must be 3-connected") as err:
             rectification_bounds(double_edge(tetrahedron(), 0))
-        assert err.value.violation == "face-size"
+        assert not isinstance(err.value, MapError)
+
+    def test_accepts_exactly_the_polyhedral_corpus_maps(self):
+        mismatched = []
+        for kind, ms in three_connectivity_corpus().items():
+            for i, m in enumerate(ms):
+                try:
+                    rectification_bounds(m)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                polyhedral = m.census.V >= 4 and simple(m) and brute_force_three_connected(m)
+                if accepted != polyhedral:
+                    mismatched.append((kind, i))
+        assert mismatched == []
 
     def test_merged_faces_refused_as_not_three_connected(self):
         # merging two faces of a prism leaves two degree-2 vertices; the

@@ -156,7 +156,7 @@ class TestTwoBridgeDiagram:
         assert d.lengths == (2, 2)
 
     def test_single_twist_degenerate(self):
-        message = "two_bridge_diagram: b(3/1) has a single twist region, degenerate as a map"
+        message = "two_bridge_lengths: b(3/1) has a single twist region: a (2, 3) torus link"
         for build in (two_bridge_diagram, two_bridge_lengths):
             with pytest.raises(ValueError) as info:
                 build(3, 1)
@@ -176,7 +176,7 @@ class TestTwoBridgeDiagram:
                 with pytest.raises(ValueError) as info:
                     two_bridge_lengths(p, q)
                 assert str(info.value) == (
-                    f"two_bridge_diagram: b({p}/{q}) has a single twist region, degenerate as a map"
+                    f"two_bridge_lengths: b({p}/{q}) has a single twist region: a (2, {p}) torus link"
                 )
                 refused.append((p, q))
         assert refused == [(p, p - 1) for p in range(3, 201)]  # the torus mirrors, 7/6 among them
