@@ -173,9 +173,21 @@ def _basis_value(key) -> float:
         return V_OCT
     if key[0] == "lob":
         return lobachevsky(math.pi * key[1] / key[2])
-    if key[0] == "pilog":
-        return math.pi * math.log(key[1] / 2.0)
-    raise KeyError(key)
+    return math.pi * math.log(key[1] / 2.0)
+
+
+_NAMED_KEYS = frozenset({"one", "v_tet", "v_oct"})
+
+
+def _is_function_key(key) -> bool:
+    """Whether ``key`` is a basis key :func:`_basis_value` evaluates other
+    than a named constant: ``("lob", p, q)`` with integers q > 0 or
+    ``("pilog", n)`` with an integer n >= 1."""
+    if key.__class__ is not tuple:
+        return False
+    if len(key) == 3 and key[0] == "lob":
+        return isinstance(key[1], int) and isinstance(key[2], int) and key[2] > 0
+    return len(key) == 2 and key[0] == "pilog" and isinstance(key[1], int) and key[1] >= 1
 
 
 def _lob_term(key, coef: Fraction) -> tuple[tuple, Fraction]:
@@ -205,6 +217,8 @@ class VolumeExpr:
         for key, coef in dict(terms or {}).items():
             if not isinstance(coef, (int, Fraction)):
                 raise TypeError(f"VolumeExpr: coefficient {coef!r} is not an int or Fraction")
+            if key not in _NAMED_KEYS and not _is_function_key(key):
+                raise ValueError(f"VolumeExpr: {key!r} is not a basis key")
             frac = Fraction(coef)
             if key[0] == "lob":
                 key, frac = _lob_term(key, frac)

@@ -16,8 +16,8 @@ slice per-orbit tuples out of that only when asked.  The check sorts
 nothing: one composition alpha o alpha and sigma's one orbit walk accept a
 valid map, and only what they refuse meets the ordered diagnosis.
 Multigraphs are allowed at the map level (link-diagram graphs have parallel
-edges); :func:`is_three_connected`, the polyhedral-skeleton test, refuses
-them, and it is applied only where an operation needs it.
+edges), and :func:`medial` takes any map.  :func:`is_three_connected`, the
+one polyhedral-skeleton test, is applied only where an operation needs it.
 
 The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
 cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
@@ -135,10 +135,6 @@ class SkeletonCensus(namedtuple("SkeletonCensus", "V E F degree_counts face_coun
     """
 
     __slots__ = ()
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.degree_counts) if self.degree_counts else 0
 
     @property
     def min_face_size(self) -> int:
@@ -292,20 +288,8 @@ def validate_map(m: CombinatorialMap) -> SkeletonCensus:
     return m.census
 
 
-def _require_polyhedral(c: SkeletonCensus) -> None:
-    if c.min_degree < 3:
-        raise MapError("degree", f"polyhedral map needs min degree 3, got {c.min_degree}")
-    if c.min_face_size < 3:
-        raise MapError("face-size", f"polyhedral map needs min face size 3, got {c.min_face_size}")
-
-
 def medial_census(c: SkeletonCensus) -> SkeletonCensus:
-    """Census of ``medial(m)`` from the census ``c`` of ``m``, without building it.
-
-    Raises the :class:`MapError` that :func:`medial` raises for ``m``
-    (``degree``, then ``face-size``).
-    """
-    _require_polyhedral(c)
+    """Census of ``medial(m)`` from the census ``c`` of ``m``, without building it."""
     return SkeletonCensus(
         V=c.E,
         E=2 * c.E,
@@ -348,14 +332,13 @@ def _medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def medial(m: CombinatorialMap) -> CombinatorialMap:
-    """Medial map: one 4-valent vertex per edge of the input.
+    """Medial map: one 4-valent vertex per edge of the input, for any map.
 
     Darts 2d, 2d+1 are the two halves of the medial edge sitting in the
     corner after input dart d; the construction guarantees V_med = E,
     E_med = 2E, F_med = V + F, with a k-gonal medial face for every
     degree-k vertex and every k-gonal face of the input.
     """
-    _require_polyhedral(m.census)
     return CombinatorialMap(*_medial_perms(m.alpha, m.sigma))
 
 
@@ -367,7 +350,7 @@ def dual(m: CombinatorialMap) -> CombinatorialMap:
 def is_three_connected(m: CombinatorialMap) -> bool:
     """Whether ``m`` is the map of a 3-connected simple graph, from its faces.
 
-    A map with a loop or two edges joining the same two vertices is not.
+    Every map gets an answer; one with fewer than four vertices is not.
     For a simple planar map with V >= 4 the graph is 3-connected iff every
     face is bounded by a simple cycle and any two faces meet in nothing, one
     vertex or one edge (the polyhedral-embedding criterion; Mohar and
@@ -381,17 +364,19 @@ def is_three_connected(m: CombinatorialMap) -> bool:
     edges.  They are counted from their first node in degree order (Chiba
     and Nishizeki, 1985), so the cost is O(N log N) on N darts, the log for
     one sort.  The faces are the ones the map's check traced.
+
+    Loops and parallel edges fail the same tests.  With V >= 4 a loop bounds
+    a 1-gon on at most one side, and its face on the other side repeats the
+    loop's vertex.  Else m >= 2 edges joining u and w cut the sphere into m
+    lenses, each with a face through u and w and one (holding the other
+    vertices) with two: m + 1 common faces close m(m + 1)/2 > m 4-cycles.
     """
     if m.census.V < 4:
-        raise ValueError("is_three_connected: need at least 4 vertices")
-    vertex_of = m._vertex_of
-    # a loop gives its pair of ends twice, as does an edge parallel to another
-    if len(set(zip(vertex_of, _gather(vertex_of, m.alpha)))) != m.dart_count:
         return False
 
     # incidence nodes 0..V-1 are vertices, V.. faces; a face must visit
     # distinct vertices
-    around = _gather(vertex_of, m._face_darts)
+    around = _gather(m._vertex_of, m._face_darts)
     starts = m._face_starts
     incidence: list[list[int] | tuple[int, ...]] = [[] for _ in range(m.census.V)]
     for i, j in zip(starts, starts[1:]):
@@ -433,6 +418,8 @@ def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
     two-apex pyramids; the other families are made from these by
     :func:`medial` and :func:`dual`.
     """
+    if not faces:
+        raise ValueError("a map needs at least one face cycle")
     # locate the two (face, position) slots of each undirected edge
     slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for fi, cycle in enumerate(faces):

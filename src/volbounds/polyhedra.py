@@ -11,11 +11,10 @@ Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
 ...) as ``hypotheses`` strings, and those strings are its gate:
 :func:`~volbounds.lobachevsky.report` marks a row inapplicable when it prints
 a hypothesis the skeleton fails.  The only such text the skeleton decides is
-"vertex degrees in {3,4}"; the report refuses a skeleton that is not the
-map of a 3-connected simple graph, a map with a loop or a parallel edge
-among them.  "non-obtuse" is a geometric hypothesis the skeleton cannot show
-and no caller flag carries yet (ROADMAP item 3(e)), so ``atkinson-mixed``
-assumes it.
+"vertex degrees in {3,4}"; the report refuses any skeleton that
+:func:`~volbounds.maps.is_three_connected` refuses.  "non-obtuse" is a
+geometric hypothesis the skeleton cannot show and no caller flag carries
+yet (ROADMAP item 3(e)), so ``atkinson-mixed`` assumes it.
 """
 
 from __future__ import annotations
@@ -162,13 +161,12 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
     Bounds on the medial's ideal right-angled polyhedron bound the supremum
     over all generalized hyperbolic polyhedra with this skeleton; the
     edge/triangle bounds apply to the skeleton directly.  The minimum upper
-    bound is marked best, as is the (single) lower bound.
+    bound is marked best, as is the (single) lower bound.  A map that is
+    not 3-connected raises ``ValueError``.
     """
-    census = m.census
-    if census.V < 4:
-        raise ValueError("rectification_bounds: need at least 4 vertices")
     if not is_three_connected(m):
         raise ValueError("rectification_bounds: skeleton must be 3-connected")
+    census = m.census
     med_census = medial_census(census)
     unmet = set() if census.degree_counts.keys() <= {3, 4} else {_DEGREES_34}
     irp = irp_bounds_expr(med_census.V)

@@ -16,7 +16,6 @@ from volbounds.augmented import AugmentError, augment, white_census_by_corner_co
 from volbounds.links import link_report
 from volbounds.maps import (
     CombinatorialMap,
-    MapError,
     _medial_perms,
     dual,
     face_orbits,
@@ -351,11 +350,9 @@ class TestMedialOfSplitDiagram:
         try:
             p = augment(d)
         except AugmentError:
-            # the bigon refusal is medial's face-size refusal of the split map
+            # the bigon refusal: the split map's medial has a face of size < 3
             assert split.census.min_face_size < 3
-            with pytest.raises(MapError) as err:
-                medial(split)
-            assert err.value.violation == "face-size"
+            assert medial(split).census.min_face_size < 3
             return False
         assert split.census.min_face_size >= 3
         assert p.map == medial(split)

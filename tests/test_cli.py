@@ -167,7 +167,7 @@ class TestPolyFiles:
         single_edge.write_text('{"darts": 2, "alpha": [1, 0], "sigma": [0, 1]}')
         code, _, err = invoke(["poly", "graph", "--file", str(single_edge)])
         assert code == 2
-        assert err.startswith("error: rectification_bounds: need at least 4 vertices")
+        assert err == "error: rectification_bounds: skeleton must be 3-connected\n"
 
     def test_map_file_not_an_object(self, tmp_path):
         bad = tmp_path / "list.json"

@@ -260,9 +260,12 @@ class TestVolumeExpr:
             VolumeExpr.v_tet(5) * 0.5
 
     def test_malformed_lob_key_rejected(self):
-        for bad in (("lob", 8), ("lob", 1, 8, 1), ("lob", 1.0, 8)):
-            with pytest.raises((ValueError, TypeError)):
+        # and every other key the basis cannot evaluate, named in the message
+        for bad in (("lob", 8), ("lob", 1, 8, 1), ("lob", 1.0, 8), ("lob", 1, 0), ("lob", 1, -8),
+                    "foo", 7, ("pilog", 2.5), ("pilog", 0), ("pilog",)):
+            with pytest.raises(ValueError) as err:
                 VolumeExpr({bad: 1})
+            assert str(err.value) == f"VolumeExpr: {bad!r} is not a basis key"
 
 
 class TestReport:
