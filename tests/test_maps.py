@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from map_corpus import (
     brute_force_three_connected,
     continued_fraction_value,
+    delete_edge,
+    double_edge,
     dual_from_orbits,
     face_cycles,
     family_members,
@@ -527,6 +529,20 @@ class TestMedial:
         for n in range(low, 31):
             for m in (build(n), dual(build(n))):
                 assert medial_census(validate_map(m)) == validate_map(medial(m))
+
+    @pytest.mark.parametrize(
+        "m,violation",
+        [
+            (double_edge(tetrahedron(), 0), "face-size"),
+            (delete_edge(prism(5), 0), "degree"),
+        ],
+    )
+    def test_census_refuses_what_medial_refuses(self, m, violation):
+        # medial refuses no map, so neither does the census: a 2-gon face and a
+        # vertex of degree 2 give the same census either way
+        low = {"face-size": m.census.min_face_size, "degree": min(m.census.degree_counts)}
+        assert low[violation] < 3
+        assert medial_census(validate_map(m)) == validate_map(medial(m))
 
     def test_census_without_building_on_any_map(self):
         # multigraphs, loops and vertices of degree 1 or 2 among them
