@@ -71,9 +71,19 @@ class HypothesisFlags(
 
 def adams_crossing_expr(c: int) -> VolumeExpr:
     """Crossing-number bound v_tet (4c - 16) for hyperbolic knots other than
-    the figure-eight (an exclusion the report gates)."""
-    if c < 3:
-        raise NotApplicable("crossing bound needs at least 3 crossings")
+    the figure-eight (an exclusion the report gates).
+
+    Refused below 5 crossings, where the bound would be 0 or negative: a
+    diagram with c <= 4 crossings shows a link of crossing number at most 4,
+    and the only hyperbolic one is the figure-eight knot (by the knot and
+    link tables; the others are the unknot and unlinks, the torus links 3_1,
+    2^2_1 and 4^2_1, and split or composite links of these).  So the row's
+    printed hypotheses already exclude every such input."""
+    if c < 5:
+        raise NotApplicable(
+            "crossing bound needs at least 5 crossings: "
+            "the figure-eight knot is the only hyperbolic link with c <= 4"
+        )
     return VolumeExpr.v_tet(4 * c - 16)
 
 

@@ -14,7 +14,10 @@ one dart order, the offset where each orbit starts in it, and for sigma
 each dart's vertex label; :func:`vertex_orbits` and :func:`face_orbits`
 slice per-orbit tuples out of that only when asked.  The check sorts
 nothing: one composition alpha o alpha and sigma's one orbit walk accept a
-valid map, and only what they refuse meets the ordered diagnosis.
+valid map, and only what they refuse meets the ordered diagnosis.  Each
+walk finds the start of its next orbit, the first dart not yet labelled,
+with a C-level ``list.index`` scan, so its Python loop steps once per dart,
+along the orbits.
 Multigraphs are allowed at the map level (link-diagram graphs have parallel
 edges), and :func:`medial` takes any map.  :func:`is_three_connected`, the
 one polyhedral-skeleton test, is applied only where an operation needs it.
@@ -161,21 +164,25 @@ def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     the offset at which each cycle starts in it followed by N, and the index
     of each element's cycle.  Cycles are sorted by minimal element; each
     starts at its minimal element and follows ``perm``.  No list or tuple is
-    made per cycle.  A non-permutation raises ``ValueError``, as a walk
-    meets a dart already labelled or a negative entry (which indexing would
-    wrap) before its start, or ``IndexError`` on an entry >= N."""
+    made per cycle, and no Python loop visits the darts already walked: each
+    next start is the first unlabelled dart, found in C by ``label.index``.
+    A non-permutation raises ``ValueError``, as a walk meets a dart already
+    labelled or a negative entry (which indexing would wrap) before its
+    start, or ``IndexError`` on an entry >= N."""
     n = len(perm)
     label = [-1] * n
     order = []
     starts = []
     append = order.append
-    for start, d in enumerate(perm):
-        if label[start] >= 0:
-            continue
-        k = label[start] = len(starts)
-        pos = len(order)
+    unlabelled = label.index
+    k = pos = 0
+    start = -1
+    while pos < n:  # pos = darts walked = offset of the next cycle
+        start = unlabelled(-1, start + 1)
         starts.append(pos)
+        label[start] = k
         append(start)
+        d = perm[start]
         while label[d] < 0 <= d:
             label[d] = k
             append(d)
@@ -183,6 +190,8 @@ def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
         if d != start:
             raise ValueError(f"{d!r} is reached twice or lies outside 0..{n - 1}")
         order[pos] = d  # perm's own int for start: no int object kept per cycle
+        k += 1
+        pos = len(order)
     starts.append(n)
     return order, starts, label
 

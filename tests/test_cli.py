@@ -362,6 +362,16 @@ class TestLinkTwists:
         assert (code, err) == (0, "")
         assert "lengths=[-3, 4, -4]" in out
 
+    def test_no_negative_crossing_bound(self):
+        # three crossings would give v_tet (4c - 16) = -4 v_tet, marked best
+        argv = ["link", "twists", "--lengths", "1,1,1", "--not-figure-eight"]
+        code, out, _ = invoke(["--format", "json"] + argv)
+        by_name = {r["name"]: r for r in json.loads(out)["bounds"]}
+        assert code == 0
+        assert not by_name["adams-crossing"]["applicable"]
+        assert [r["name"] for r in by_name.values() if r["best"]] == ["agol-thurston"]
+        assert invoke(argv + ["--bound", "adams-crossing"])[0] == 3
+
 
 class TestLinkAugment:
     def test_two_bridge_augment(self, tmp_path):

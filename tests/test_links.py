@@ -44,18 +44,23 @@ class TestCrossingBounds:
         assert adams_crossing_expr(11).value == pytest.approx(28 * V_TET, abs=1e-12)
 
     def test_figure_eight_excluded(self):
-        # the exclusion is a caller flag, so the report alone gates it
+        # the exclusion is a caller flag, so the report alone gates it; the
+        # lengths have 5 crossings, as the row refuses c <= 4 outright
         flags = HypothesisFlags(reduced=True, alternating=True)
         for not_figure_eight in (False, True):
             rows = link_report(
-                TwistDecomposition((2, 2)), flags._replace(not_figure_eight=not_figure_eight)
+                TwistDecomposition((2, 3)), flags._replace(not_figure_eight=not_figure_eight)
             )
             row = {r.name: r for r in rows}["adams-crossing"]
             assert row.applicable == not_figure_eight
 
     def test_too_few_crossings(self):
-        with pytest.raises(NotApplicable):
-            adams_crossing_expr(2)
+        # v_tet (4c - 16) would be -4 v_tet at c = 3 and 0 at c = 4; the
+        # figure-eight knot, which the row excludes, is the only hyperbolic
+        # link with c <= 4
+        for c in (2, 3, 4):
+            with pytest.raises(NotApplicable, match="at least 5 crossings"):
+                adams_crossing_expr(c)
 
     def test_five_crossings(self):
         assert adams_crossing_expr(5).value == pytest.approx(4 * V_TET, abs=1e-12)

@@ -406,6 +406,98 @@ class TestMapCheckOracle:
         assert {"fixed-dart", "not-involution", "disconnected", "genus"} <= kinds
 
 
+def _cycle(order) -> tuple[int, ...]:
+    """The permutation with one cycle, visiting ``order``."""
+    perm = [0] * len(order)
+    for d, e in zip(order, order[1:] + order[:1]):
+        perm[d] = e
+    return tuple(perm)
+
+
+def _involution(order) -> tuple[int, ...]:
+    """The fixed-point-free involution pairing consecutive entries of ``order``."""
+    perm = [0] * len(order)
+    for d, e in zip(order[0::2], order[1::2]):
+        perm[d], perm[e] = e, d
+    return tuple(perm)
+
+
+def _flat_oracle_orbits(perm) -> tuple[list[int], list[int], list[int]]:
+    """``oracle_orbits`` in the flat form of ``maps._orbits``."""
+    cycles = oracle_orbits(perm)
+    starts = [0]
+    label = [None] * len(perm)
+    for k, cycle in enumerate(cycles):
+        starts.append(starts[-1] + len(cycle))
+        for d in cycle:
+            label[d] = k
+    return [d for cycle in cycles for d in cycle], starts, label
+
+
+# permutations of every cycle type: random ones (fixed points included), one
+# long cycle, and the identity
+PERMUTATIONS = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.one_of(
+        st.permutations(range(n)).map(tuple),
+        st.permutations(range(n)).map(_cycle),
+        st.just(tuple(range(n))),
+    )
+)
+
+
+def _aliased(perm, shifted) -> tuple[int, ...]:
+    """``perm`` with the entries at ``shifted`` moved down by n: negative,
+    yet indexing with them still reads a permutation."""
+    n = len(perm)
+    return tuple(e - n if wrap else e for e, wrap in zip(perm, shifted))
+
+
+def _entries(n: int):
+    """Tuples of n ints: arbitrary ones in -n-1..n+1 (negatives, duplicates
+    and entries >= n), permutations, permutations (one long cycle among them)
+    with negative aliases, and for even n involutions."""
+    arbitrary = st.lists(st.integers(min_value=-n - 1, max_value=n + 1), min_size=n, max_size=n)
+    permutation = st.permutations(range(n))
+    shifted = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    kinds = [
+        arbitrary.map(tuple),
+        permutation.map(tuple),
+        st.builds(_aliased, st.one_of(permutation.map(tuple), permutation.map(_cycle)), shifted),
+    ]
+    if n % 2 == 0:
+        kinds.append(permutation.map(_involution))
+    return st.one_of(kinds)
+
+
+def _map_candidates(n: int):
+    """Pairs (alpha, sigma) of n-tuples from :func:`_entries`; for even n
+    also a valid alpha beside them, so that sigma's walk is what refuses."""
+    entries = _entries(n)
+    pairs = [st.tuples(entries, entries)]
+    if n % 2 == 0:
+        pairs.append(st.tuples(st.permutations(range(n)).map(_involution), entries))
+    return st.one_of(pairs)
+
+
+MAP_CANDIDATES = st.integers(min_value=1, max_value=8).flatmap(_map_candidates)
+
+
+class TestOrbitWalkOracle:
+    """The orbit walk against the former tracer, on random input."""
+
+    @settings(max_examples=300)
+    @given(PERMUTATIONS)
+    def test_orbits_are_the_flat_oracle_orbits(self, perm):
+        assert maps_module._orbits(perm) == _flat_oracle_orbits(perm)
+
+    @settings(max_examples=300)
+    @given(MAP_CANDIDATES)
+    def test_map_check_refuses_as_the_oracle(self, candidate):
+        # the same MapError violation and message, or the same census and orbits
+        alpha, sigma = candidate
+        assert _map_check_outcome(alpha, sigma) == _oracle_outcome(alpha, sigma)
+
+
 class TestNoPermutationSorts:
     """A valid map is checked without sorting either permutation; only a
     malformed one reaches the ordered diagnosis, which sorts them."""
@@ -868,6 +960,13 @@ class TestFlatOrbits:
     def test_census_is_unchanged(self, corpus):
         for m in FLAT_CORPORA[corpus]:
             assert m.census == oracle_check_map(m.alpha, m.sigma)
+
+    def test_orbits_keep_no_int_object_of_their_own(self):
+        # each cycle's start is stored as the int its last step read from
+        # sigma (or from phi, gathered from sigma), not the one the scan for
+        # the start made, so the flat orbits add no int object per cycle
+        for m in FLAT_CORPORA["two-bridge diagram and P at t = 100, 1000"]:
+            assert {id(d) for d in m._vertex_darts + m._face_darts} <= {id(d) for d in m.sigma}
 
 
 class TestMedialGathers:
