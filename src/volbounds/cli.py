@@ -128,8 +128,7 @@ def _report(doc: dict, args) -> int:
         return 0
     rows = [r for r in doc["bounds"] if r["name"] == name]
     if not rows:
-        print(f"error: unknown bound name {name!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown bound name {name!r}")
     row = rows[0]
     if not row["applicable"]:
         print(f"bound {name} not applicable under the given hypotheses", file=sys.stderr)
@@ -181,15 +180,12 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
 def _cmd_poly_family(args) -> int:
     from . import maps
     if args.name not in _FAMILIES:
-        print(f"error: unknown family {args.name!r}; choices: {sorted(_FAMILIES)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown family {args.name!r}; choices: {sorted(_FAMILIES)}")
     needs_n = _FAMILIES[args.name]
     if needs_n and args.n is None:
-        print(f"error: family {args.name} needs --n", file=sys.stderr)
-        return 2
+        raise ValueError(f"family {args.name} needs --n")
     if not needs_n and args.n is not None:
-        print(f"error: family {args.name} takes no --n", file=sys.stderr)
-        return 2
+        raise ValueError(f"family {args.name} takes no --n")
     builder = getattr(maps, args.name.replace("-", "_"))
     m = builder(args.n) if needs_n else builder()
     desc = args.name if not needs_n else f"{args.name}({args.n})"

@@ -10,7 +10,9 @@ v_oct = 8*L(pi/4), values L(p*pi/q), and pi*log(n/2).  This module provides
 * the two ideal right-angled bounds that both reports use: the face sum
   behind the face-census bound, and the triangle-aware vertex-count bound,
 * :class:`VolumeExpr`, an exact rational combination of the basis constants
-  that is only converted to floating point at the boundary, and
+  that is only converted to floating point at the boundary, as the correctly
+  rounded sum of its terms, so equal expressions give the same float on
+  every supported Python whatever order their terms were added in, and
 * :class:`Bound`, the report row that the polyhedron and link reports share,
   with :func:`report`, which evaluates a table of rows, and :func:`mark_best`.
 """
@@ -48,7 +50,7 @@ def _even_zeta_table(count: int) -> list[float]:
         s = 2 * n
         # direct summation; tail < k^(1-s)/(s-1) drops below 1e-20 quickly
         k_max = max(4, int(10.0 ** (20.0 / s)) + 2)
-        table.append(sum(k ** (-s) for k in range(1, k_max + 1)))
+        table.append(math.fsum(k ** (-s) for k in range(1, k_max + 1)))
     return table[:count]
 
 
@@ -208,6 +210,9 @@ class VolumeExpr:
     Bounds are assembled in this form and converted to floating point only at
     the boundary (:func:`report`), so coefficient-level identities (e.g.
     "equals 4*v_tet") can be asserted exactly.  Each L(p*pi/q) has one key.
+    :attr:`value` is the correctly rounded sum of the terms (``math.fsum``),
+    so equal expressions give the same float on every supported Python,
+    whatever order their terms were added in.
     """
 
     __slots__ = ("_terms",)
@@ -264,7 +269,7 @@ class VolumeExpr:
 
     @property
     def value(self) -> float:
-        return float(sum(float(c) * _basis_value(k) for k, c in self._terms.items()))
+        return math.fsum(float(c) * _basis_value(k) for k, c in self._terms.items())
 
     def __add__(self, other: "VolumeExpr") -> "VolumeExpr":
         if not isinstance(other, VolumeExpr):
@@ -329,7 +334,7 @@ def twisted_antiprism_expr(n: int) -> VolumeExpr:
 def face_sum_expr(face_counts: dict[int, int]) -> VolumeExpr:
     """The sum sum_n n f_n L(pi/n) over a census of f_n faces of size n: the
     bipyramids over the faces of an ideal right-angled polyhedron."""
-    return VolumeExpr({("lob", 1, int(n)): n * f for n, f in sorted(face_counts.items())})
+    return VolumeExpr({("lob", 1, int(n)): n * f for n, f in face_counts.items()})
 
 
 def irp_triangle_expr(v: int, p3: int) -> VolumeExpr:

@@ -95,7 +95,7 @@ def face_census_expr(census: SkeletonCensus) -> VolumeExpr:
 def face_census_log_expr(census: SkeletonCensus) -> VolumeExpr:
     """Logarithmic form pi * sum_n log(n/2) p_n - 4 v_tet of the face-census bound."""
     _require_irp_census(census)
-    logs = VolumeExpr({("pilog", n): count for n, count in sorted(census.face_counts.items())})
+    logs = VolumeExpr({("pilog", n): count for n, count in census.face_counts.items()})
     return VolumeExpr.v_tet(-4) + logs
 
 

@@ -267,6 +267,32 @@ class TestVolumeExpr:
                 VolumeExpr({bad: 1})
             assert str(err.value) == f"VolumeExpr: {bad!r} is not a basis key"
 
+    BASIS_KEYS = st.one_of(
+        st.sampled_from(["one", "v_tet", "v_oct"]),
+        # non-canonical spellings too: p outside (0, q/2], p/q not in lowest terms
+        st.tuples(st.just("lob"), st.integers(-40, 40), st.integers(1, 40)),
+        st.tuples(st.just("pilog"), st.integers(1, 60)),
+    )
+    COEFFICIENTS = st.builds(
+        lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+        st.integers(-10**6, 10**6),
+        st.integers(1, 1000),
+        st.integers(-8, 8),
+    )
+
+    @given(st.lists(st.tuples(BASIS_KEYS, COEFFICIENTS), min_size=2, max_size=12), st.data())
+    def test_value_ignores_term_order(self, terms, data):
+        # an expression's float depends on its terms only, not on the order they were added in
+        built = []
+        for order in (data.draw(st.permutations(terms)), data.draw(st.permutations(terms))):
+            expr = VolumeExpr()
+            for key, coef in order:
+                expr = expr + VolumeExpr({key: coef})
+            built.append(expr)
+        first, second = built
+        assert first == second
+        assert first.value.hex() == second.value.hex()
+
 
 class TestReport:
     """A row applies iff it prints no unmet hypothesis and its form succeeds."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,15 +145,17 @@ class TestFaceCensusBounds:
         assert face_census_log_expr(Q14_CENSUS).value == pytest.approx(19.1961997555398, abs=1e-9)
 
     def test_log_is_the_term_by_term_sum(self):
-        # one expression, with the terms and float sum of the face-by-face build
+        # one expression, and one float, whatever order the faces are added in
+        rng = random.Random(5)
         for m in family_members(30):
             census = medial_census(m.census)
+            faces = list(census.face_counts.items())
+            rng.shuffle(faces)
             summed = VolumeExpr.v_tet(-4)
-            for n, count in sorted(census.face_counts.items()):
+            for n, count in faces:
                 summed = summed + VolumeExpr.pilog(n, count)
             built = face_census_log_expr(census)
             assert built == summed
-            assert list(built.terms) == list(summed.terms)
             assert repr(built) == repr(summed) and built.value == summed.value
 
     def test_rejects_non_four_regular(self):
