@@ -23,10 +23,11 @@ edges), and :func:`medial` takes any map.  :func:`is_three_connected`, the
 one polyhedral-skeleton test, is applied only where an operation needs it.
 
 The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
-cycles; the octahedron, antiprisms and twisted antiprisms are their medials,
-and the cube and bipyramids the duals of the octahedron and prisms.  A
-medial's permutations are gathered, by slices and ``itemgetter``, from one
-list of its darts, so it holds one int object per dart.
+cycles, whose edge slots are the map's darts; the octahedron, antiprisms and
+twisted antiprisms are their medials, and the cube and bipyramids the duals
+of the octahedron and prisms.  A medial's permutations are gathered, by
+slices and ``itemgetter``, from one list of its darts, so it holds one int
+object per dart.
 """
 
 from __future__ import annotations
@@ -420,65 +421,62 @@ def is_three_connected(m: CombinatorialMap) -> bool:
 def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
     """Build a map from face boundary cycles (vertex sequences).
 
-    Each undirected edge must occur in exactly two face slots; face
-    orientations are fixed automatically (BFS on the face adjacency) so that
-    every edge is traversed once in each direction.  Parallel edges are not
-    representable here.  It builds the tetrahedron, pyramids, prisms and
-    two-apex pyramids; the other families are made from these by
-    :func:`medial` and :func:`dual`.
+    Slot (f, p) runs from ``faces[f][p]`` to the next vertex of face f.
+    Each undirected edge must occur in exactly two slots, and these are its
+    two darts: alpha swaps them.  Faces are turned as needed (BFS from face
+    0 through each face's edge slots) so that every edge is run once each
+    way.  Face f's darts follow its oriented cycle from ``base_f``, the
+    count of slots before it: slot (f, p) is dart ``base_f + p``, or
+    ``base_f + (k_f - 2 - p) mod k_f`` if the k_f-gon f is turned; phi
+    steps along each face.  Parallel edges are not representable here.  It
+    builds the tetrahedron, pyramids, prisms and two-apex pyramids; the
+    other families are made from these by :func:`medial` and :func:`dual`.
     """
     if not faces:
         raise ValueError("a map needs at least one face cycle")
-    # locate the two (face, position) slots of each undirected edge
+    # the two slots of each undirected edge; own[f] lists them per slot of f
     slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fi, cycle in enumerate(faces):
+    own = []
+    for f, cycle in enumerate(faces):
         if len(cycle) < 2 or len(set(cycle)) != len(cycle):
-            raise ValueError(f"face {fi} is not a simple cycle: {cycle}")
-        for pos in range(len(cycle)):
-            u, w = cycle[pos], cycle[(pos + 1) % len(cycle)]
-            slots.setdefault((min(u, w), max(u, w)), []).append((fi, pos))
+            raise ValueError(f"face {f} is not a simple cycle: {cycle}")
+        own.append([slots.setdefault((u, w) if u < w else (w, u), [])
+                    for u, w in zip(cycle, [*cycle[1:], cycle[0]])])
+        for p, occ in enumerate(own[f]):
+            occ.append((f, p))
     for edge, occ in slots.items():
         if len(occ) != 2:
             raise ValueError(f"edge {edge} occurs {len(occ)} times, expected 2")
 
-    # orient faces consistently
-    flipped = [None] * len(faces)
-    flipped[0] = False
+    # orient: an edge's two slots that start at the same vertex need
+    # exactly one of their faces turned
+    turned = [None] * len(faces)
+    turned[0] = False
     queue = [0]
-    adjacency: dict[int, list[tuple[int, bool]]] = {}
-    for (u, w), ((f1, p1), (f2, p2)) in slots.items():
-        d1 = faces[f1][p1] == u  # direction as listed
-        d2 = faces[f2][p2] == u
-        # consistent iff the two listed directions are opposite after flips
-        adjacency.setdefault(f1, []).append((f2, d1 == d2))
-        adjacency.setdefault(f2, []).append((f1, d1 == d2))
     while queue:
         f = queue.pop()
-        for g, must_differ in adjacency.get(f, []):
-            want = (not flipped[f]) if must_differ else flipped[f]
-            if flipped[g] is None:
-                flipped[g] = want
+        for (f1, p1), (f2, p2) in own[f]:
+            g = f2 if f1 == f else f1
+            want = turned[f] != (faces[f1][p1] == faces[f2][p2])
+            if turned[g] is None:
+                turned[g] = want
                 queue.append(g)
-            elif flipped[g] != want:
+            elif turned[g] != want:
                 raise ValueError("face cycles cannot be oriented consistently")
-    if any(v is None for v in flipped):
+    if None in turned:
         raise ValueError("face complex is disconnected")
 
-    oriented = [list(reversed(cyc)) if flipped[fi] else list(cyc) for fi, cyc in enumerate(faces)]
-
-    # darts = directed edges, numbered in face order, so phi steps along each
-    # face; oriented faces run each edge once each way
-    dart_id: dict[tuple[int, int], int] = {}
-    phi: list[int] = []
-    for cyc in oriented:
-        k, first = len(cyc), len(phi)
-        for pos in range(k):
-            dart_id[(cyc[pos], cyc[(pos + 1) % k])] = first + pos
-            phi.append(first + (pos + 1) % k)
-    alpha = [dart_id[(w, u)] for u, w in dart_id]
+    darts, phi = [], []  # darts[f][p] is slot (f, p)'s dart
+    for k, turn in zip(map(len, faces), turned):
+        base = len(phi)
+        darts.append([*range(base + k - 2, base - 1, -1), base + k - 1] if turn
+                     else range(base, base + k))
+        phi += [*range(base + 1, base + k), base]
+    alpha = [0] * len(phi)
+    for (f1, p1), (f2, p2) in slots.values():
+        alpha[darts[f1][p1]], alpha[darts[f2][p2]] = darts[f2][p2], darts[f1][p1]
     # phi = sigma o alpha  =>  sigma = phi o alpha
-    sigma = tuple(phi[a] for a in alpha)
-    return CombinatorialMap(tuple(alpha), sigma)
+    return CombinatorialMap(tuple(alpha), _gather(phi, alpha))
 
 
 def tetrahedron() -> CombinatorialMap:

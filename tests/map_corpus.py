@@ -15,7 +15,8 @@ onto the other, reflection allowed, by a pairwise anchor search.  The
 library does not use it; the tests compare constructions with it.
 
 ``medial_from_orbits`` and ``dual_from_orbits`` build the medial and the
-dual from a map's orbits alone, as face cycles for ``map_from_face_cycles``.
+dual from a map's orbits alone, as face cycles (``medial_faces`` and
+``dual_faces``) for ``map_from_face_cycles``.
 The library builds the octahedron, antiprisms, twisted antiprisms, cube and
 bipyramids with ``medial`` and ``dual``, so the tests compare those two with
 these oracles rather than with the library's builders.
@@ -24,6 +25,13 @@ these oracles rather than with the library's builders.
 comprehension per half of sigma, with the medial's dart numbers computed as
 2d and 2d + 1; ``volbounds.maps._medial_perms`` gathers them from one list
 of darts instead.
+
+``oracle_map_from_face_cycles`` is the library's former face-cycle
+construction: it builds a face-adjacency dict for the orientation search,
+reversed copies of the faces it turns, and a dict from directed vertex
+pairs to darts, from which it reads alpha back by reverse lookup.
+``volbounds.maps.map_from_face_cycles`` takes the darts to be the edge slots
+themselves and numbers them as this one does.
 
 ``continued_fraction_value`` evaluates a continued fraction exactly; the
 library only expands fractions, so the tests invert that with it.
@@ -147,22 +155,30 @@ def brute_force_three_connected(m: CombinatorialMap) -> bool:
     return all(connected_without({u, w}) for u in range(nv) for w in range(u + 1, nv))
 
 
-def medial_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
-    """Medial of a polyhedral map: a face per vertex and per face of ``m``,
-    listing its edges, each edge named by its smaller dart."""
+def medial_faces(m: CombinatorialMap) -> list[list[int]]:
+    """Face cycles of the medial of a polyhedral map: a face per vertex and
+    per face of ``m``, listing its edges, each edge named by its smaller
+    dart."""
     edge = [min(d, a) for d, a in enumerate(m.alpha)]
-    orbits = vertex_orbits(m) + face_orbits(m)
-    return map_from_face_cycles([[edge[d] for d in orbit] for orbit in orbits])
+    return [[edge[d] for d in orbit] for orbit in vertex_orbits(m) + face_orbits(m)]
 
 
-def dual_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
-    """Dual of a polyhedral map: a face per vertex of ``m``, listing the
-    faces of its darts."""
+def dual_faces(m: CombinatorialMap) -> list[list[int]]:
+    """Face cycles of the dual of a polyhedral map: a face per vertex of
+    ``m``, listing the faces of its darts."""
     face_of = [0] * m.dart_count
     for i, orbit in enumerate(face_orbits(m)):
         for d in orbit:
             face_of[d] = i
-    return map_from_face_cycles([[face_of[d] for d in orbit] for orbit in vertex_orbits(m)])
+    return [[face_of[d] for d in orbit] for orbit in vertex_orbits(m)]
+
+
+def medial_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
+    return map_from_face_cycles(medial_faces(m))
+
+
+def dual_from_orbits(m: CombinatorialMap) -> CombinatorialMap:
+    return map_from_face_cycles(dual_faces(m))
 
 
 def oracle_medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,6 +195,68 @@ def oracle_medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]
     sigma_med[0::2] = [2 * d + 1 for d in sigma_inv]
     sigma_med[1::2] = [2 * alpha[s] for s in sigma]
     return tuple(alpha_med), tuple(sigma_med)
+
+
+def oracle_map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
+    """Build a map from face boundary cycles (vertex sequences).
+
+    Each undirected edge must occur in exactly two face slots; face
+    orientations are fixed automatically (BFS on the face adjacency) so that
+    every edge is traversed once in each direction.  Parallel edges are not
+    representable here.
+    """
+    if not faces:
+        raise ValueError("a map needs at least one face cycle")
+    # locate the two (face, position) slots of each undirected edge
+    slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for fi, cycle in enumerate(faces):
+        if len(cycle) < 2 or len(set(cycle)) != len(cycle):
+            raise ValueError(f"face {fi} is not a simple cycle: {cycle}")
+        for pos in range(len(cycle)):
+            u, w = cycle[pos], cycle[(pos + 1) % len(cycle)]
+            slots.setdefault((min(u, w), max(u, w)), []).append((fi, pos))
+    for edge, occ in slots.items():
+        if len(occ) != 2:
+            raise ValueError(f"edge {edge} occurs {len(occ)} times, expected 2")
+
+    # orient faces consistently
+    flipped = [None] * len(faces)
+    flipped[0] = False
+    queue = [0]
+    adjacency: dict[int, list[tuple[int, bool]]] = {}
+    for (u, w), ((f1, p1), (f2, p2)) in slots.items():
+        d1 = faces[f1][p1] == u  # direction as listed
+        d2 = faces[f2][p2] == u
+        # consistent iff the two listed directions are opposite after flips
+        adjacency.setdefault(f1, []).append((f2, d1 == d2))
+        adjacency.setdefault(f2, []).append((f1, d1 == d2))
+    while queue:
+        f = queue.pop()
+        for g, must_differ in adjacency.get(f, []):
+            want = (not flipped[f]) if must_differ else flipped[f]
+            if flipped[g] is None:
+                flipped[g] = want
+                queue.append(g)
+            elif flipped[g] != want:
+                raise ValueError("face cycles cannot be oriented consistently")
+    if any(v is None for v in flipped):
+        raise ValueError("face complex is disconnected")
+
+    oriented = [list(reversed(cyc)) if flipped[fi] else list(cyc) for fi, cyc in enumerate(faces)]
+
+    # darts = directed edges, numbered in face order, so phi steps along each
+    # face; oriented faces run each edge once each way
+    dart_id: dict[tuple[int, int], int] = {}
+    phi: list[int] = []
+    for cyc in oriented:
+        k, first = len(cyc), len(phi)
+        for pos in range(k):
+            dart_id[(cyc[pos], cyc[(pos + 1) % k])] = first + pos
+            phi.append(first + (pos + 1) % k)
+    alpha = [dart_id[(w, u)] for u, w in dart_id]
+    # phi = sigma o alpha  =>  sigma = phi o alpha
+    sigma = tuple(phi[a] for a in alpha)
+    return CombinatorialMap(tuple(alpha), sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,16 @@ from map_corpus import (
     continued_fraction_value,
     delete_edge,
     double_edge,
+    dual_faces,
     dual_from_orbits,
     face_cycles,
     family_members,
     glue_along_edge,
     maps_isomorphic,
+    medial_faces,
     medial_from_orbits,
     oracle_check_map,
+    oracle_map_from_face_cycles,
     oracle_medial_perms,
     oracle_orbits,
     simple,
@@ -837,6 +840,112 @@ class TestThreeConnectivityAtScale:
         small = [poles_on_common_faces(p, k) for p in (3, 4) for k in (2, 3)]
         small += [blob_necklace(b) for b in (2, 3, 4)]
         assert not any(brute_force_three_connected(m) for m in small)
+
+
+def _built(build, faces):
+    """``build(faces)``'s alpha and sigma, or the type and text of its refusal."""
+    try:
+        m = build(faces)
+    except ValueError as exc:  # MapError included
+        return type(exc), str(exc)
+    return m.alpha, m.sigma
+
+
+# face lists written out as perfbench writes them, bottom and top both
+# ascending, so that most faces must be turned
+def _written_prism(n: int) -> list[list[int]]:
+    sides = [[i, (i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
+    return [list(range(n)), list(range(n, 2 * n))] + sides
+
+
+def _written_pyramid(n: int) -> list[list[int]]:
+    return [list(range(n))] + [[i, (i + 1) % n, n] for i in range(n)]
+
+
+def _written_antiprism(n: int) -> list[list[int]]:
+    ups = [[i, (i + 1) % n, n + i] for i in range(n)]
+    downs = [[(i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
+    return [list(range(n)), list(range(n, 2 * n))] + ups + downs
+
+
+WRITTEN_FACES = [
+    build(n) for build in (_written_prism, _written_pyramid, _written_antiprism)
+    for n in range(3, 61)
+]
+# the face cycles of each corpus map, of its medial and of its dual, read off
+# its orbits; loops and parallel edges make some of them refusals
+ORBIT_FACES = [
+    read(m) for ms in CONNECTIVITY.values() for m in ms
+    for read in (face_cycles, medial_faces, dual_faces)
+]
+REFUSED_FACES = [
+    [[0, 1, 0], [0, 1, 2]],
+    [[0, 1, 2], [0, 2, 1], [0, 1, 3]],
+    [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]],
+    [[0, 1, 2], [2, 1, 0], [3, 4, 5], [5, 4, 3]],
+    [],
+    [[0]],
+    [[0, 1], [1, 0]],
+    [[0, 1, 2], [0, 1, 2]],
+]
+
+
+@st.composite
+def _perturbed_faces(draw):
+    """A small face list, relabelled, each face rotated and perhaps
+    reversed, and the faces shuffled."""
+    faces = draw(st.sampled_from(
+        [f for f in WRITTEN_FACES + ORBIT_FACES + REFUSED_FACES if 0 < len(f) <= 16]
+    ))
+    labels = sorted({v for face in faces for v in face})
+    image = draw(st.lists(st.integers(-99, 99), min_size=len(labels), max_size=len(labels),
+                          unique=True))
+    relabel = dict(zip(labels, image))
+    out = []
+    for face in faces:
+        turn = draw(st.integers(0, len(face) - 1))
+        face = [relabel[v] for v in face[turn:] + face[:turn]]
+        out.append(face[::-1] if draw(st.booleans()) else face)
+    return draw(st.permutations(out))
+
+
+class TestFaceCycleOracle:
+    """``map_from_face_cycles`` against the former construction: the same
+    alpha and sigma, or the same refusal."""
+
+    def test_family_builders_to_60(self, monkeypatch):
+        members = family_members(60)
+        monkeypatch.setattr(maps_module, "map_from_face_cycles", oracle_map_from_face_cycles)
+        assert len(members) == 349
+        assert family_members(60) == members
+
+    def test_written_face_lists_turn_faces(self):
+        # a face list runs some edge twice the same way unless no face turns
+        def runs_an_edge_twice(faces):
+            runs = [(u, w) for face in faces for u, w in zip(face, face[1:] + face[:1])]
+            return len(set(runs)) < len(runs)
+
+        assert all(runs_an_edge_twice(faces) for faces in WRITTEN_FACES)
+        for faces in WRITTEN_FACES:
+            assert _built(map_from_face_cycles, faces) == _built(
+                oracle_map_from_face_cycles, faces
+            )
+
+    def test_face_lists_read_off_orbits(self):
+        assert len(ORBIT_FACES) == 3 * sum(map(len, CONNECTIVITY.values()))
+        for faces in ORBIT_FACES:
+            assert _built(map_from_face_cycles, faces) == _built(
+                oracle_map_from_face_cycles, faces
+            )
+
+    @pytest.mark.parametrize("faces", REFUSED_FACES)
+    def test_refusals(self, faces):
+        assert _built(map_from_face_cycles, faces) == _built(oracle_map_from_face_cycles, faces)
+
+    @settings(max_examples=300)
+    @given(_perturbed_faces())
+    def test_perturbed_face_lists(self, faces):
+        assert _built(map_from_face_cycles, faces) == _built(oracle_map_from_face_cycles, faces)
 
 
 class TestFileFormat:
