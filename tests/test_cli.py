@@ -4,17 +4,18 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from map_corpus import maps_isomorphic
+from map_corpus import double_edge, maps_isomorphic
 
 from volbounds import maps
 from volbounds.augmented import augment
 from volbounds.cli import _link_doc, _mirror, _render, build_parser, run
 from volbounds.links import two_bridge_inputs
-from volbounds.maps import map_from_dict, medial, pyramid, validate_map
+from volbounds.maps import map_from_dict, map_to_dict, medial, pyramid, tetrahedron, validate_map
 from volbounds.twists import two_bridge_diagram
 
 
@@ -73,6 +74,10 @@ class TestPolyFamily:
         pyramid5 = ["poly", "family", "--name", "pyramid", "--n", "5"]
         code, _, err = invoke(pyramid5 + ["--bound", "atkinson-mixed"])
         assert code == 3 and "not applicable" in err
+        # the cube's report has no prism row
+        assert invoke(["poly", "family", "--name", "cube", "--bound", "prism-atkinson"]) == (
+            2, "", "error: unknown bound name 'prism-atkinson'\n"
+        )
 
     def test_json_format(self):
         code, out, _ = invoke(
@@ -98,15 +103,14 @@ FAMILY_MEMBERS = [
         ("twisted-antiprism", 4),
     )
     for n in range(low, 13)
-]
+] + [(name, None) for name in ("tetrahedron", "cube", "octahedron")]
 EXACT_ROWS = {"pyramid": "antiprism-volume", "two-apex-pyramid": "twisted-antiprism-volume"}
 
 
 @pytest.mark.parametrize("family,n", FAMILY_MEMBERS)
 def test_family_best_column(family, n):
-    code, out, _ = invoke(
-        ["--format", "json", "poly", "family", "--name", family, "--n", str(n), "--bounds"]
-    )
+    size = [] if n is None else ["--n", str(n)]
+    code, out, _ = invoke(["--format", "json", "poly", "family", "--name", family, *size, "--bounds"])
     assert code == 0
     rows = [r for r in json.loads(out)["bounds"] if r["applicable"]]
     best = {
@@ -161,6 +165,18 @@ class TestPolyFiles:
         code, _, err = invoke(["poly", "graph", "--file", str(bad)])
         assert code == 2
         assert "fixed-dart" in err
+
+    def test_parallel_edge(self, tmp_path):
+        # a doubled edge is no 3-connected simple graph, but the medial takes
+        # any map, the digon of the doubled edge included
+        double = tmp_path / "double.json"
+        double.write_text(json.dumps(map_to_dict(double_edge(tetrahedron(), 0))))
+        assert invoke(["poly", "graph", "--file", str(double)]) == (
+            2, "", "error: rectification_bounds: skeleton must be 3-connected\n"
+        )
+        code, out, err = invoke(["poly", "medial", "--file", str(double)])
+        assert (code, err) == (0, "")
+        assert "census: V=7 " in out
 
     def test_too_few_vertices_for_bounds(self, tmp_path):
         single_edge = tmp_path / "edge.json"
@@ -285,6 +301,39 @@ class TestLinkTwoBridge:
         )
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        # a family's own row is evaluated with the rest
+        (["poly", "family", "--name", "pyramid", "--n", "6", "--bound", "antiprism-volume"], "10.149416"),
+        (
+            ["poly", "family", "--name", "two-apex-pyramid", "--n", "6", "--bound", "twisted-antiprism-volume"],
+            "11.801747",
+        ),
+        # Dasbach-Lin's v_oct (max(|a_{n+1}|, |a_{m-1}|) - 1) is 0 for the
+        # figure-eight knot's (1, 1)
+        (["link", "two-bridge", "--fraction", "5/2", "--jones", "1,1", "--bound", "jones-lower"], "0.000000"),
+    ],
+    ids=["pyramid", "two-apex-pyramid", "figure-eight"],
+)
+def test_bound_value(argv, value):
+    assert invoke(argv) == (0, f"{value}\n", "")
+
+
+# the Jones pair refuses a twist number |a_{n+1}| + |a_{m-1}| below 2 on
+# both rows, whether the flags come from a fraction or from the caller
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["link", "two-bridge", "--fraction", "55/17", "--jones", "0,1", "--bound", "jones-lower"],
+        ["link", "twists", "--lengths", "3,4,4", "--jones", "0,1", "--bound", "jones-upper"],
+    ],
+    ids=["two-bridge", "twists"],
+)
+def test_jones_pair_refuses_twist_number_below_two(argv):
+    assert invoke(argv) == (3, "", f"bound {argv[-1]} not applicable under the given hypotheses\n")
+
+
 def _two_bridge_doc_from_p(p: int, q: int, jones) -> dict:
     """The `link two-bridge` report with the white census read off the built P."""
     diagram = two_bridge_diagram(p, q)
@@ -384,6 +433,8 @@ class TestLinkAugment:
         assert doc["census"]["V"] == 9
         assert doc["white_census"] == {"3": 2, "4": 3}
         saved = json.loads(out_file.read_text())
+        # the map object plus the report's three P fields
+        assert set(saved) == {"darts", "alpha", "sigma", "red", "dark_faces", "white_census"}
         assert saved["white_census"] == {"3": 2, "4": 3}
 
     def test_mirror_is_named(self):
@@ -396,15 +447,28 @@ class TestLinkAugment:
         assert direct == f"input: augmentation of b(7/2)\n{rest}"
 
     def test_diagram_file_input(self, tmp_path):
+        # a diagram written by --out-diagram augments to the same P; only the
+        # input line differs
         diagram_path = tmp_path / "diagram.json"
-        code, _, _ = invoke(
+        code, written, _ = invoke(
             ["link", "augment", "--fraction", "13/5", "--out-diagram", str(diagram_path)]
         )
         assert code == 0
-        code, out, _ = invoke(["--format", "json", "link", "augment", "--file", str(diagram_path)])
+        code, read, _ = invoke(["link", "augment", "--file", str(diagram_path)])
         assert code == 0
-        doc = json.loads(out)
-        assert doc["census"]["V"] == 12  # 13/5 = [2,1,1,2] has t=4 twists
+        first, rest = written.split("\n", 1)
+        assert first == "input: augmentation of b(13/5)"
+        assert read == f"input: augmentation of {diagram_path}\n{rest}"
+        assert rest.startswith("census: V=12 ")  # 13/5 = [2,1,1,2] has t=4 twists
+
+    def test_three_hundred_twists(self):
+        # [2] * 300 has t = 300 twists: P's census after the orbit walks over its 3600 darts
+        v = Fraction(2)
+        for _ in range(299):
+            v = 2 + 1 / v
+        code, out, _ = invoke(["link", "augment", "--fraction", f"{v.numerator}/{v.denominator}"])
+        assert code == 0
+        assert "\ncensus: V=900 E=1800 F=902 " in out
 
     def test_single_twist_diagram_file(self, tmp_path):
         # the figure-eight curve: one vertex, two loops
@@ -666,6 +730,25 @@ def test_readme_library_example():
     assert lines[0].startswith("two-bridge-upper 14.655449")
     assert lines[1].split()[-1].startswith("16.04274")
     assert lines[2] == "5 8 5"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (2, ["link", "two-bridge", "--fraction", "7/6"]),
+        (3, ["link", "twists", "--lengths", "3,4,4", "--bound", "adams-twist"]),
+    ],
+    ids=["invalid-input", "not-applicable"],
+)
+def test_main_exits_with_the_code_run_returns(code, argv):
+    # `invoke` drives `run` in process; `main` passes its code to sys.exit
+    proc = subprocess.run(
+        [sys.executable, "-m", "volbounds.cli", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == invoke(argv)[2]
+    assert "Traceback" not in proc.stderr
 
 
 def test_closed_stdout_exits_one_quietly():

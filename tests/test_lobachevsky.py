@@ -192,6 +192,16 @@ class TestVolumeExpr:
         zero = VolumeExpr.v_tet(4) - 2 * VolumeExpr.v_tet(2)
         assert zero == VolumeExpr()
         assert zero.value == 0.0
+        assert repr(zero) == repr(VolumeExpr()) == "VolumeExpr(0)"
+
+    def test_sums_take_only_expressions(self):
+        # a number is added as VolumeExpr.constant(...), never bare
+        e = VolumeExpr.v_tet(2)
+        for other in (1, Fraction(1, 2), 1.0, "v_tet"):
+            with pytest.raises(TypeError):
+                e + other
+            with pytest.raises(TypeError):
+                e - other
 
     def test_fraction_scalars(self):
         e = Fraction(5, 3) * VolumeExpr.v_tet()

@@ -190,6 +190,8 @@ class TestCheckedOnce:
             object.__setattr__(twin, stored, None)
         assert twin == m
         assert hash(m) == hash(twin) == hash((m.alpha, m.sigma))
+        # equal hashes, but a map equals only a map
+        assert m != (m.alpha, m.sigma)
         assert repr(m) == repr(twin) == f"CombinatorialMap(alpha={m.alpha!r}, sigma={m.sigma!r})"
 
 
