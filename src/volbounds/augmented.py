@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from .maps import CombinatorialMap, _medial_perms, face_orbits, vertex_orbits
+from .maps import CombinatorialMap, _darts, _medial_perms, face_orbits, vertex_orbits
 from .twists import TwistReducedDiagram
 
 __all__ = [
@@ -74,7 +74,7 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
     e0, e1, e2, e3 = rot[0::4], rot[1::4], rot[2::4], rot[3::4]
     for v in compress(range(t), d.axis):
         e0[v], e1[v], e2[v], e3[v] = e1[v], e2[v], e3[v], e0[v]
-    new = list(range(n, n + 2 * t))
+    new = _darts(n + 2 * t)[n:]
     r, r2 = new[0::2], new[1::2]
     alpha = list(dm.alpha) + [0] * (2 * t)
     alpha[n::2], alpha[n + 1::2] = r2, r
@@ -92,7 +92,8 @@ def augment(d: TwistReducedDiagram) -> AugmentedPolyhedron:
 
     # the medial faces on odd darts trace the split's trivalent vertices
     face_darts = poly._face_darts
-    dark = [i for i, s in enumerate(poly._face_starts[:-1]) if face_darts[s] & 1]
+    odd = [face_darts[s] & 1 for s in poly._face_starts[:-1]]
+    dark = compress(_darts(len(odd)), odd)
     white = Counter(census.face_counts) - Counter({3: 2 * t})  # less the dark triangles
 
     return AugmentedPolyhedron(

@@ -150,7 +150,7 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _poly_doc(m, description: str, family=None, n=None) -> dict:
+def _poly_doc(m, description: str, non_obtuse: bool, family=None, n=None) -> dict:
     from . import polyhedra
     from .lobachevsky import antiprism_expr, mark_best, report, twisted_antiprism_expr
     # row added to a family member's report, its exact form a function of n
@@ -169,7 +169,7 @@ def _poly_doc(m, description: str, family=None, n=None) -> dict:
         ),
     }
     doc: dict = {"input": description, "census": _census_block(m.census)}
-    bounds = polyhedra.rectification_bounds(m)
+    bounds = polyhedra.rectification_bounds(m, non_obtuse)
     if family in family_rows:
         bounds = mark_best(bounds + report((family_rows[family],), set(), n))
     doc["bounds"] = _row_dicts(bounds)
@@ -194,14 +194,14 @@ def _cmd_poly_family(args) -> int:
     if not (args.bounds or args.bound):
         _render({"input": desc, "census": _census_block(m.census)}, args.format)
         return 0
-    doc = _poly_doc(m, desc, family=args.name, n=args.n)
+    doc = _poly_doc(m, desc, args.non_obtuse, family=args.name, n=args.n)
     return _report(doc, args)
 
 
 def _cmd_poly_graph(args) -> int:
     from . import maps
     m = maps.map_from_dict(_read_json(args.file))
-    doc = _poly_doc(m, f"map file {args.file}")
+    doc = _poly_doc(m, f"map file {args.file}", args.non_obtuse)
     return _report(doc, args)
 
 
@@ -348,13 +348,20 @@ def _build_poly_family(p) -> None:
     p.add_argument("--bounds", action="store_true")
     p.add_argument("--bound", help="print just this bound (exit 3 if not applicable)")
     p.add_argument("--out", help="write the map file")
+    _add_non_obtuse(p)
     p.set_defaults(func=_cmd_poly_family)
 
 
 def _build_poly_graph(p) -> None:
     p.add_argument("--file", required=True)
     p.add_argument("--bound")
+    _add_non_obtuse(p)
     p.set_defaults(func=_cmd_poly_graph)
+
+
+def _add_non_obtuse(p) -> None:
+    p.add_argument("--non-obtuse", action="store_true",
+                   help="assert the polyhedra are non-obtuse (gates atkinson-mixed)")
 
 
 def _build_poly_medial_or_dual(p) -> None:

@@ -17,7 +17,10 @@ nothing: one composition alpha o alpha and sigma's one orbit walk accept a
 valid map, and only what they refuse meets the ordered diagnosis.  Each
 walk finds the start of its next orbit, the first dart not yet labelled,
 with a C-level ``list.index`` scan, so its Python loop steps once per dart,
-along the orbits.
+along the orbits.  Every dart number and orbit index the library makes
+itself, in the builders and in the check, comes from one pool of ints
+(:func:`_darts`), so the process holds one int object per dart number, and
+the check's comparisons of a built map's entries meet equal pointers.
 Multigraphs are allowed at the map level (link-diagram graphs have parallel
 edges), and :func:`medial` takes any map.  :func:`is_three_connected`, the
 one polyhedral-skeleton test, is applied only where an operation needs it.
@@ -26,12 +29,12 @@ The tetrahedron, pyramids, prisms and two-apex pyramids are built from face
 cycles, whose edge slots are the map's darts; the octahedron, antiprisms and
 twisted antiprisms are their medials, and the cube and bipyramids the duals
 of the octahedron and prisms.  A medial's permutations are gathered, by
-slices and ``itemgetter``, from one list of its darts, so it holds one int
-object per dart.
+slices and ``itemgetter``, from the pool's list of its darts.
 """
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter, namedtuple
 from operator import eq, itemgetter, sub
 
@@ -160,6 +163,37 @@ class SkeletonCensus(namedtuple("SkeletonCensus", "V E F degree_counts face_coun
         return set(self.degree_counts) == {4}
 
 
+_pool: list[int] = []  # _pool[i] is i; replaced, never changed in place
+_pool_growth = allocate_lock()
+
+
+def _darts(n: int) -> list[int]:
+    """The ints 0..n-1 as a fresh list, each the process's one object for
+    its value.
+
+    CPython shares only the ints -5..256, so ``list(range(n))`` makes new
+    objects for every other dart of every map.  The builders and the map
+    check take their dart numbers and orbit indices from here instead: a
+    map holds no int object of its own, and comparing its entries with the
+    check's meets equal pointers.  The pool grows, under a lock, by
+    rebinding a longer copy, so a thread that reads it while another grows
+    it still reads a correct prefix, and the first object made for a value
+    stays its object.  A growth at least doubles the pool and stops at the
+    count requested if that is more, so the pool holds fewer than 2N ints,
+    N the largest count ever requested in the process.  Only what the
+    library builds itself is numbered from here: parsed input keeps its own
+    ints, and the check compares values, never identities.
+    """
+    global _pool
+    pool = _pool
+    if len(pool) < n:
+        with _pool_growth:
+            pool = _pool
+            if len(pool) < n:
+                pool = _pool = pool + list(range(len(pool), max(n, 2 * len(pool))))
+    return pool[:n]
+
+
 def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """Cycles of a permutation on 0..N-1, flat: the elements in walk order,
     the offset at which each cycle starts in it followed by N, and the index
@@ -167,20 +201,25 @@ def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     starts at its minimal element and follows ``perm``.  No list or tuple is
     made per cycle, and no Python loop visits the darts already walked: each
     next start is the first unlabelled dart, found in C by ``label.index``.
+    Every int stored is ``perm``'s own or the pool's (:func:`_darts`): the
+    elements are ``perm``'s entries, and each cycle's index and offset are
+    the pool's ints for them, so no int object is kept per cycle.
     A non-permutation raises ``ValueError``, as a walk meets a dart already
     labelled or a negative entry (which indexing would wrap) before its
     start, or ``IndexError`` on an entry >= N."""
     n = len(perm)
+    ints = _darts(n + 1)
     label = [-1] * n
     order = []
-    starts = []
+    starts = [0]
     append = order.append
     unlabelled = label.index
-    k = pos = 0
+    pos = 0  # darts walked = offset of the next cycle
     start = -1
-    while pos < n:  # pos = darts walked = offset of the next cycle
+    for k in ints:  # the cycle index
+        if pos == n:
+            break
         start = unlabelled(-1, start + 1)
-        starts.append(pos)
         label[start] = k
         append(start)
         d = perm[start]
@@ -190,10 +229,9 @@ def _orbits(perm: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
             d = perm[d]
         if d != start:
             raise ValueError(f"{d!r} is reached twice or lies outside 0..{n - 1}")
-        order[pos] = d  # perm's own int for start: no int object kept per cycle
-        k += 1
+        order[pos] = d  # perm's own int for start, not the scan's
         pos = len(order)
-    starts.append(n)
+        starts.append(ints[pos])
     return order, starts, label
 
 
@@ -240,7 +278,7 @@ def _check_map(alpha: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[Skeleton
     try:
         # alpha o alpha = id makes alpha a permutation (a negative entry
         # breaks it, one >= n raises), and with no fixed dart n is even
-        identity = tuple(darts)
+        identity = tuple(_darts(n))
         if by_alpha(alpha) != identity or any(map(eq, alpha, identity)):
             raise ValueError("alpha is not a fixed-point-free involution")
         vertex_darts, vertex_starts, vertex_of = _orbits(sigma)
@@ -320,15 +358,15 @@ def _medial_perms(alpha, sigma) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """alpha and sigma of the medial of the map ``(alpha, sigma)``, numbered
     as :func:`medial` says; checks nothing.
 
-    Both are gathered from one list of the medial's darts, so the medial
-    holds one int object per dart: alpha is its two halves by slices,
-    sigma(2d + 1) = 2 alpha(sigma(d)) the even darts gathered at
+    Both are gathered from the pool's darts (:func:`_darts`), so the medial
+    holds the process's one int object per dart: alpha is its two halves by
+    slices, sigma(2d + 1) = 2 alpha(sigma(d)) the even darts gathered at
     alpha(sigma(d)), and sigma(2 sigma(d)) = 2d + 1 the odd darts written at
     sigma(d).  The only Python-level loop is that last write, of one store
     per input dart.
     """
     n = len(sigma)
-    darts = list(range(2 * n))
+    darts = _darts(2 * n)
     evens, odds = darts[0::2], darts[1::2]
     alpha_med = [0] * (2 * n)
     alpha_med[0::2], alpha_med[1::2] = odds, evens
@@ -466,12 +504,14 @@ def map_from_face_cycles(faces: list[list[int]]) -> CombinatorialMap:
     if None in turned:
         raise ValueError("face complex is disconnected")
 
+    ints = _darts(sum(map(len, faces)))
     darts, phi = [], []  # darts[f][p] is slot (f, p)'s dart
     for k, turn in zip(map(len, faces), turned):
         base = len(phi)
-        darts.append([*range(base + k - 2, base - 1, -1), base + k - 1] if turn
-                     else range(base, base + k))
-        phi += [*range(base + 1, base + k), base]
+        own_darts = ints[base:base + k]
+        darts.append(own_darts[-2::-1] + own_darts[-1:] if turn else own_darts)
+        phi += own_darts[1:]
+        phi.append(own_darts[0])
     alpha = [0] * len(phi)
     for (f1, p1), (f2, p2) in slots.values():
         alpha[darts[f1][p1]], alpha[darts[f2][p2]] = darts[f2][p2], darts[f1][p1]

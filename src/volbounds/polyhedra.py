@@ -10,11 +10,14 @@ edge count of the original skeleton.
 Each :class:`Bound` lists its hypotheses (non-obtuse, ideal-right-angled,
 ...) as ``hypotheses`` strings, and those strings are its gate:
 :func:`~volbounds.lobachevsky.report` marks a row inapplicable when it prints
-a hypothesis the skeleton fails.  The only such text the skeleton decides is
-"vertex degrees in {3,4}"; the report refuses any skeleton that
+a hypothesis its inputs fail.  The skeleton decides "vertex degrees in
+{3,4}"; the report refuses any skeleton that
 :func:`~volbounds.maps.is_three_connected` refuses.  "non-obtuse" is a
-geometric hypothesis the skeleton cannot show and no caller flag carries
-yet (ROADMAP item 3(e)), so ``atkinson-mixed`` assumes it.
+geometric hypothesis the skeleton cannot show, so it is the caller's
+assertion, off by default, and ``atkinson-mixed`` applies only under it:
+Atkinson's bound covers the non-obtuse polyhedra with the skeleton, while
+the other rows bound the supremum over all generalized polyhedra with it,
+which can be larger.
 """
 
 from __future__ import annotations
@@ -120,6 +123,7 @@ def prism_atkinson_expr(n: int) -> VolumeExpr:
 
 
 _IRP_HYP = ("ideal-right-angled medial (rectification)",)
+_NON_OBTUSE = "non-obtuse"
 _DEGREES_34 = "vertex degrees in {3,4}"
 
 # Every row of the report: name, kind, printed hypotheses, citation, and its
@@ -127,7 +131,7 @@ _DEGREES_34 = "vertex degrees in {3,4}"
 # edge-bound, the edge-count bound irp_bounds_expr(E)[1], is read off the one irp
 # the report computes: the medial has V = E vertices.
 _ROWS = (
-    ("atkinson-mixed", "upper", ("non-obtuse", _DEGREES_34),
+    ("atkinson-mixed", "upper", (_NON_OBTUSE, _DEGREES_34),
      "Atkinson 2011 (non-obtuse polyhedra with 3- and 4-valent vertices)",
      lambda c, mc, irp: atkinson_mixed_expr(c.v3, c.v4)),
     ("edge-bound", "upper", ("3-connected skeleton",),
@@ -155,12 +159,14 @@ _ROWS = (
 )
 
 
-def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
+def rectification_bounds(m: CombinatorialMap, non_obtuse: bool = False) -> list[Bound]:
     """Every applicable bound for the polyhedra with 1-skeleton ``m``.
 
     Bounds on the medial's ideal right-angled polyhedron bound the supremum
     over all generalized hyperbolic polyhedra with this skeleton; the
-    edge/triangle bounds apply to the skeleton directly.  The minimum upper
+    edge/triangle bounds apply to the skeleton directly.  ``non_obtuse`` is
+    the caller's assertion that the polyhedra in question are non-obtuse;
+    without it ``atkinson-mixed`` is not applicable.  The minimum upper
     bound is marked best, as is the (single) lower bound.  A map that is
     not 3-connected raises ``ValueError``.
     """
@@ -168,6 +174,8 @@ def rectification_bounds(m: CombinatorialMap) -> list[Bound]:
         raise ValueError("rectification_bounds: skeleton must be 3-connected")
     census = m.census
     med_census = medial_census(census)
-    unmet = set() if census.degree_counts.keys() <= {3, 4} else {_DEGREES_34}
+    unmet = set() if non_obtuse else {_NON_OBTUSE}
+    if not census.degree_counts.keys() <= {3, 4}:
+        unmet.add(_DEGREES_34)
     irp = irp_bounds_expr(med_census.V)
     return mark_best(report(_ROWS, unmet, census, med_census, irp))

@@ -208,14 +208,14 @@ def two_bridge_diagram(p: int, q: int) -> TwistReducedDiagram:
     map with V = t, E = 2t, F = t + 2.  Needs at least two twists to form a
     nondegenerate diagram graph.
     """
-    from .maps import CombinatorialMap
+    from .maps import CombinatorialMap, _darts
     digits = two_bridge_lengths(p, q)
     t = len(digits)
 
     # Vertex i owns darts 4i..4i+3 in counterclockwise rotation order
     # (right-top, left-top, left-bottom, right-bottom).
     RT, LT, LB, RB = 0, 1, 2, 3
-    darts = list(range(4 * t))
+    darts = _darts(4 * t)
     sigma = darts[1:] + darts[:1]
     sigma[RB::4] = darts[0::4]
 

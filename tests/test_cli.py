@@ -72,8 +72,14 @@ class TestPolyFamily:
         assert code == 2 and "unknown bound name" in err
         # the pyramid apex has degree 5, outside Atkinson's {3, 4}
         pyramid5 = ["poly", "family", "--name", "pyramid", "--n", "5"]
-        code, _, err = invoke(pyramid5 + ["--bound", "atkinson-mixed"])
+        code, _, err = invoke(pyramid5 + ["--bound", "atkinson-mixed", "--non-obtuse"])
         assert code == 3 and "not applicable" in err
+        # prism(5) is trivalent, but only the caller can assert non-obtuse
+        code, _, err = invoke(prism5 + ["--bound", "atkinson-mixed"])
+        assert code == 3 and "not applicable" in err
+        assert invoke(prism5 + ["--bound", "atkinson-mixed", "--non-obtuse"]) == (
+            0, "35.162114\n", ""
+        )
         # the cube's report has no prism row
         assert invoke(["poly", "family", "--name", "cube", "--bound", "prism-atkinson"]) == (
             2, "", "error: unknown bound name 'prism-atkinson'\n"

@@ -100,7 +100,6 @@ NUMERIC = "numeric: the *_expr raises"
 NOT_GATED = {
     "hyperbolic": "ROADMAP 3(d): no flag carries it",
     "prime alternating non-torus knot": "ROADMAP 3(a): no flag carries it",
-    "non-obtuse": "ROADMAP 3(e): no flag carries it",
     "c >= 5": NUMERIC,
     "t >= 3": NUMERIC,
     "t >= 2": NUMERIC,
@@ -145,8 +144,15 @@ NUMERIC_FALSIFIERS = {
     "t > 8": (7,) * 8,
     "all twist lengths >= 7": (7, 6, 7),
 }
-# pyramid(4) has degrees 3 and 4 only; pyramid(5)'s apex has degree 5
+# a skeleton input meeting every hypothesis: pyramid(4) has degrees 3 and 4
+# only, and the caller asserts non-obtuse
+POLY_BASE = {"m": pyramid(4), "non_obtuse": True}
 POLY_DEGREES = "vertex degrees in {3,4}"
+# each change to POLY_BASE that falsifies an input, with the texts it falsifies
+POLY_FALSIFIERS = {
+    "degrees": ({"m": pyramid(5)}, {POLY_DEGREES}),  # pyramid(5)'s apex has degree 5
+    "non_obtuse": ({"non_obtuse": False}, {"non-obtuse"}),
+}
 
 
 def _printed(rows) -> set[str]:
@@ -162,8 +168,9 @@ def _printing(rows, texts) -> set[str]:
 
 
 def test_every_printed_hypothesis_is_gated_or_listed():
-    gated = {POLY_DEGREES}.union(*(texts for _, texts in LINK_FALSIFIERS.values()))
-    printed = _printed(link_report(**LINK_BASE)) | _printed(rectification_bounds(pyramid(4)))
+    falsifiers = [*LINK_FALSIFIERS.values(), *POLY_FALSIFIERS.values()]
+    gated = set().union(*(texts for _, texts in falsifiers))
+    printed = _printed(link_report(**LINK_BASE)) | _printed(rectification_bounds(**POLY_BASE))
     assert not gated & NOT_GATED.keys()
     assert printed == gated | NOT_GATED.keys()
     assert NUMERIC_FALSIFIERS.keys() == {h for h, why in NOT_GATED.items() if why == NUMERIC}
@@ -171,7 +178,7 @@ def test_every_printed_hypothesis_is_gated_or_listed():
 
 def test_base_inputs_meet_every_hypothesis():
     assert not _inapplicable(link_report(**LINK_BASE))
-    assert not _inapplicable(rectification_bounds(pyramid(4)))
+    assert not _inapplicable(rectification_bounds(**POLY_BASE))
 
 
 @pytest.mark.parametrize("falsified", sorted(LINK_FALSIFIERS))
@@ -191,8 +198,16 @@ def test_failed_numeric_hypothesis_gates_every_row_printing_it(text):
 
 
 def test_degree_five_vertex_gates_exactly_the_rows_printing_it():
-    rows = rectification_bounds(pyramid(5))
+    rows = rectification_bounds(pyramid(5), non_obtuse=True)
     assert _inapplicable(rows) == _printing(rows, {POLY_DEGREES}) == {"atkinson-mixed"}
+
+
+@pytest.mark.parametrize("falsified", sorted(POLY_FALSIFIERS))
+def test_falsified_skeleton_input_gates_exactly_the_rows_printing_it(falsified):
+    change, texts = POLY_FALSIFIERS[falsified]
+    rows = rectification_bounds(**{**POLY_BASE, **change})
+    assert _printing(rows, texts)
+    assert _inapplicable(rows) == _printing(rows, texts)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import json
 import pickle
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -1026,15 +1028,22 @@ def test_orbits_start_at_their_minimal_dart_and_follow_the_permutation(corpus):
                 assert all(perm[d] == orbit[(i + 1) % len(orbit)] for i, d in enumerate(orbit))
 
 
+def _two_bridge_at(t: int):
+    """The diagram of a two-bridge link with t twists, its digits drawn from
+    a generator seeded with t."""
+    rng = random.Random(t)
+    digits = [rng.randint(2, 5)] + [rng.randint(1, 5) for _ in range(t - 2)] + [2]
+    value = continued_fraction_value(digits)
+    diagram = two_bridge_diagram(value.numerator, value.denominator)
+    assert diagram.t == t
+    return diagram
+
+
 def _large_two_bridge_maps():
     """The diagram and P of a two-bridge link with t = 100 and t = 1000."""
     out = []
     for t in (100, 1000):
-        rng = random.Random(t)
-        digits = [rng.randint(2, 5)] + [rng.randint(1, 5) for _ in range(t - 2)] + [2]
-        value = continued_fraction_value(digits)
-        diagram = two_bridge_diagram(value.numerator, value.denominator)
-        assert diagram.t == t
+        diagram = _two_bridge_at(t)
         out += [diagram.map, augment(diagram).map]
     return out
 
@@ -1101,3 +1110,159 @@ class TestMedialGathers:
         for m in family_members(60):
             med = medial(m)
             assert len({id(x) for x in med.alpha + med.sigma}) <= med.dart_count
+
+
+@pytest.fixture
+def empty_pool(monkeypatch):
+    """The dart pool as a fresh process has it; restored afterwards."""
+    monkeypatch.setattr(maps_module, "_pool", [])
+
+
+class TestDartPool:
+    """Every dart number and orbit index the library makes comes from one
+    pool of ints: ``_darts(n)`` is ``list(range(n))`` made of the pool's
+    objects."""
+
+    # 0 and 1, the last and first int CPython does not share, the first
+    # growth past 257 (to 514) and the edge of the one after it
+    SIZES = (0, 1, 256, 257, 258, 514, 515, 1028, 1029)
+
+    def test_prefix_across_growth_boundaries(self, empty_pool):
+        for n in self.SIZES:
+            assert maps_module._darts(n) == list(range(n))
+        for n in reversed(self.SIZES):
+            assert maps_module._darts(n) == list(range(n))
+
+    def test_each_call_returns_a_fresh_list(self):
+        darts = maps_module._darts(300)
+        darts[299] = -1
+        assert maps_module._darts(300) == list(range(300))
+
+    def test_threads_growing_at_once_each_get_an_exact_prefix(self, empty_pool):
+        workers = 8
+        start = threading.Barrier(workers)
+
+        def grow(seed):
+            rng = random.Random(seed)
+            sizes = [rng.randint(0, 5000) for _ in range(20)]
+            start.wait(timeout=30)
+            return [(n, maps_module._darts(n)) for n in sizes]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(grow, range(workers), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        ints = maps_module._pool
+        # no growth was lost to a racing one
+        assert len(ints) >= max(n for got in results for n, _ in got)
+        for got in results:
+            for n, darts in got:
+                assert darts == list(range(n))
+                # no growth replaced an object already handed out
+                assert all(x is ints[x] for x in darts)
+
+    def test_retention_stays_within_the_documented_bound(self, empty_pool):
+        rng = random.Random(11)
+        largest = 0
+        for n in [rng.randint(0, 20000) for _ in range(200)] + [*range(1, 600), 40000]:
+            maps_module._darts(n)
+            largest = max(largest, n)
+            assert largest <= len(maps_module._pool) < 2 * largest
+
+    def test_built_maps_hold_the_pools_ints(self):
+        diagram = _two_bridge_at(300)
+        poly = augment(diagram)
+        members = family_members(60)
+        built = [diagram.map, poly.map, *members]
+        built += [medial(m) for m in members] + [dual(m) for m in members]
+        ints = maps_module._pool
+        for m in built:
+            for field in ("alpha", "sigma", "_vertex_darts", "_vertex_starts", "_vertex_of",
+                          "_face_darts", "_face_starts"):
+                assert all(x is ints[x] for x in getattr(m, field)), field
+        assert all(x is ints[x] for x in poly.red_vertices | poly.dark_faces)
+
+
+def _fresh(perm) -> tuple:
+    """``perm`` with each int rebuilt as a new object (bools kept)."""
+    return tuple(x if isinstance(x, bool) else int(str(x)) for x in perm)
+
+
+def _swapped(perm, x, y) -> tuple:
+    out = list(perm)
+    out[x], out[y] = out[y], out[x]
+    return tuple(out)
+
+
+def _large_candidates() -> dict:
+    """Valid maps and refused variants of them with well over 256 darts,
+    whose entries CPython does not share."""
+    d = _two_bridge_at(100)
+    p = augment(d).map
+    a, s, n = p.alpha, p.sigma, p.dart_count
+    last = n - 1
+    twice = (a + tuple(x + n for x in a), s + tuple(x + n for x in s))
+    return {
+        "diagram": (d.map.alpha, d.map.sigma),
+        "P": (a, s),
+        "medial of P": maps_module._medial_perms(a, s),
+        "fixed darts": (_swapped(a, last, a[last]), s),
+        "alpha not an involution": (a[:-3] + (a[-2], a[-1], a[-3]), s),
+        "alpha entry equal to n": (a[:-1] + (n,), s),
+        "sigma duplicate": (a, s[:-1] + (s[-2],)),
+        "sigma far entry": (a, s[:-1] + (10 * n,)),
+        "sigma negative entry": (a, s[:-1] + (-n - 300,)),
+        "two copies of P": twice,
+        # swapping sigma at darts 0 and last joins their two vertices, and
+        # two faces: V - E + F = 0
+        "two vertices merged": (a, _swapped(s, 0, last)),
+        "odd dart count": (a + (n,), s + (n,)),
+        "length mismatch": (a, s[:-1]),
+    }
+
+
+LARGE_CANDIDATES = _large_candidates()
+
+
+class TestCheckComparesValues:
+    """The map check gives the same census and orbits, or the same refusal,
+    whether a map's ints are the pool's objects or objects of its own."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_CANDIDATES))
+    def test_fresh_ints(self, name):
+        alpha, sigma = LARGE_CANDIDATES[name]
+        fresh_alpha, fresh_sigma = _fresh(alpha), _fresh(sigma)
+        ints = maps_module._darts(len(alpha) + 1)
+        assert not any(x is ints[x] for x in fresh_alpha if 256 < x < len(ints))
+        assert _map_check_outcome(fresh_alpha, fresh_sigma) == _map_check_outcome(alpha, sigma)
+
+    @pytest.mark.parametrize("name", sorted(LARGE_CANDIDATES))
+    def test_json_read(self, name):
+        alpha, sigma = LARGE_CANDIDATES[name]
+        text = json.dumps({"darts": len(alpha), "alpha": list(alpha), "sigma": list(sigma)})
+        try:
+            m = map_from_dict(json.loads(text))
+        except MapError as err:
+            read = err.violation, str(err)
+        else:
+            read = m.census, vertex_orbits(m), face_orbits(m)
+        expected = _map_check_outcome(alpha, sigma)
+        if name == "length mismatch":  # the file's darts field disagrees first
+            expected = ("length-mismatch", "length-mismatch: darts field disagrees with array lengths")
+        assert read == expected
+
+    def test_refusals_cover_every_violation(self):
+        outcomes = [_map_check_outcome(*LARGE_CANDIDATES[name]) for name in LARGE_CANDIDATES]
+        assert {o[0] for o in outcomes if isinstance(o[0], str)} == {
+            "fixed-dart", "not-involution", "not-a-permutation", "disconnected", "genus",
+            "length-mismatch",
+        }
+
+    def test_corpus_with_fresh_ints(self):
+        for m in [*family_members(60), *FLAT_CORPORA["two-bridge diagram and P at t = 100, 1000"]]:
+            assert _map_check_outcome(_fresh(m.alpha), _fresh(m.sigma)) == _map_check_outcome(
+                m.alpha, m.sigma
+            )

@@ -294,7 +294,7 @@ class TestRectificationBounds:
             assert lower - 1e-9 <= exact <= upper + 1e-9
 
     def test_atkinson_gated_by_degrees(self):
-        rows = rectification_bounds(two_apex_pyramid(6))  # has a 5-valent vertex
+        rows = rectification_bounds(two_apex_pyramid(6), non_obtuse=True)  # has a 5-valent vertex
         atkinson = [r for r in rows if r.name == "atkinson-mixed"]
         assert atkinson and not atkinson[0].applicable and atkinson[0].value is None
 
